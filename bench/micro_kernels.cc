@@ -1,8 +1,10 @@
 // Micro benchmarks (google-benchmark) for the hardware-efficiency claims
 // in Section II-B: blocked GEMM vs repeated-sdot vs the naive triple loop
 // ("substantial empirical speedups over naive inner products (40x) or
-// even matrix-vector multiply (20x)"), plus the top-K heap pass, the
-// k-means assignment GEMM, and the level-1 dot kernels.
+// even matrix-vector multiply (20x)"), plus the top-K heap pass, BMM's
+// fused GEMM + top-K scorer against the separate GEMM + select passes it
+// replaced, the scorer's two row selectors across k, the k-means
+// assignment GEMM, and the level-1 dot kernels.
 //
 // The binary first prints the runtime SIMD dispatch report — per-variant
 // packed-panel GFLOP/s from KernelProbe and the kernel it installs — and
@@ -12,7 +14,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
+#include <vector>
 
 #include "cluster/kmeans.h"
 #include "common/rng.h"
@@ -20,6 +25,8 @@
 #include "linalg/blas.h"
 #include "linalg/gemm.h"
 #include "linalg/simd_dispatch.h"
+#include "topk/fused_topk.h"
+#include "topk/slab_rows.h"
 #include "topk/topk_block.h"
 
 namespace mips {
@@ -128,6 +135,105 @@ void BM_TopKFromScoreBlock(benchmark::State& state) {
       benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
 }
 BENCHMARK(BM_TopKFromScoreBlock)->Arg(1)->Arg(10)->Arg(50);
+
+// BMM's work, single-threaded: kBmmUsers users against an (n x f)
+// catalog at top-k.  The shapes are the mipsbench models: netflix ×4
+// (n = 1422, f = 50) and r2 ×4 (n = 8204, f = 25), at k = 10.
+constexpr Index kBmmUsers = 1024;
+
+void ReportUsersPerSecond(benchmark::State& state, Index users) {
+  state.counters["users/s"] = benchmark::Counter(
+      static_cast<double>(users) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+
+void BM_BmmFused(benchmark::State& state) {
+  const Index n = static_cast<Index>(state.range(0));
+  const Index f = static_cast<Index>(state.range(1));
+  const Index k = static_cast<Index>(state.range(2));
+  const Matrix users = RandomMatrix(kBmmUsers, f, 8);
+  const PackedItems items(ConstRowBlock(RandomMatrix(n, f, 9)));
+  std::vector<const Real*> rows(static_cast<std::size_t>(kBmmUsers));
+  for (Index r = 0; r < kBmmUsers; ++r) {
+    rows[static_cast<std::size_t>(r)] = users.Row(r);
+  }
+  TopKResult result(kBmmUsers, k);
+  for (auto _ : state) {
+    FusedTopK(items, rows, k, &result, 0, /*pool=*/nullptr);
+    benchmark::DoNotOptimize(result.Row(0));
+  }
+  ReportUsersPerSecond(state, kBmmUsers);
+}
+BENCHMARK(BM_BmmFused)
+    ->Args({1422, 50, 10})
+    ->Args({8204, 25, 10})
+    ->Args({1422, 50, 100})
+    ->Args({1422, 50, 500});
+
+void BM_BmmGemmThenSelect(benchmark::State& state) {
+  const Index n = static_cast<Index>(state.range(0));
+  const Index f = static_cast<Index>(state.range(1));
+  const Index k = static_cast<Index>(state.range(2));
+  const Matrix users = RandomMatrix(kBmmUsers, f, 8);
+  const Matrix items = RandomMatrix(n, f, 9);
+  Matrix scores(kBmmUsers, n);
+  TopKResult result(kBmmUsers, k);
+  for (auto _ : state) {
+    GemmNT(users.data(), kBmmUsers, items.data(), n, f, 1, 0, scores.data(),
+           n);
+    TopKFromScoreBlock(scores.data(), kBmmUsers, n, n, k, 0, nullptr,
+                       &result, 0);
+    benchmark::DoNotOptimize(result.Row(0));
+  }
+  ReportUsersPerSecond(state, kBmmUsers);
+}
+BENCHMARK(BM_BmmGemmThenSelect)->Args({1422, 50, 10})->Args({8204, 25, 10});
+
+// The fused scorer's two row selectors (topk/slab_rows.h) alone, fed a
+// 128-row slab of real scores in the scorer's order: 16-item panels, rows
+// within a panel, each candidate admitted with `score >= row minimum`.
+// Where the sorted row stops beating the heap sets kSortedRowsMaxK.
+template <typename Rows>
+void BM_SlabRows(benchmark::State& state) {
+  constexpr Index kRows = 128;
+  constexpr Index kPanel = 16;
+  const Index n = static_cast<Index>(state.range(0));
+  const Index f = static_cast<Index>(state.range(1));
+  const Index k = static_cast<Index>(state.range(2));
+  const Matrix users = RandomMatrix(kRows, f, 8);
+  const Matrix items = RandomMatrix(n, f, 9);
+  Matrix scores(kRows, n);
+  GemmNT(users.data(), kRows, items.data(), n, f, 1, 0, scores.data(), n);
+  TopKResult result(kRows, k);
+  Rows rows(k, kRows);
+  std::vector<Real> thresholds(static_cast<std::size_t>(kRows));
+  for (auto _ : state) {
+    std::fill(thresholds.begin(), thresholds.end(),
+              -std::numeric_limits<Real>::infinity());
+    rows.Begin(result.Row(0), kRows);
+    for (Index j0 = 0; j0 < n; j0 += kPanel) {
+      const Index j1 = std::min(n, j0 + kPanel);
+      for (Index r = 0; r < kRows; ++r) {
+        Real& threshold = thresholds[static_cast<std::size_t>(r)];
+        const Real* row = scores.Row(r);
+        for (Index j = j0; j < j1; ++j) {
+          if (row[j] >= threshold) threshold = rows.Push(r, {j, row[j]});
+        }
+      }
+    }
+    rows.End(kRows);
+    benchmark::DoNotOptimize(result.Row(0));
+  }
+  ReportUsersPerSecond(state, kRows);
+}
+BENCHMARK(BM_SlabRows<SortedSlabRows>)
+    ->Name("BM_SlabRowsSorted")
+    ->ArgsProduct({{1422}, {50}, {10, 64, 100, 128, 200, 500}})
+    ->ArgsProduct({{8204}, {25}, {10, 100, 128, 200}});
+BENCHMARK(BM_SlabRows<HeapSlabRows>)
+    ->Name("BM_SlabRowsHeap")
+    ->ArgsProduct({{1422}, {50}, {10, 64, 100, 128, 200, 500}})
+    ->ArgsProduct({{8204}, {25}, {10, 100, 128, 200}});
 
 void BM_KMeans(benchmark::State& state) {
   SyntheticModelConfig config;

@@ -536,9 +536,11 @@ void LiveCatalog::InstallEpoch(std::shared_ptr<Epoch> next) {
 
 Status LiveCatalog::Rebuild() {
   MutexLock lock(rebuild_mu_);
-  if (!rebuild_running_) {
-    if (!StartRebuildLocked()) return Status::OK();  // nothing buffered
-  }
+  // A rebuild in flight sealed its buffer before this call and misses
+  // the mutations made since; a failed one leaves its sealed layer for
+  // the next start to retry.
+  while (rebuild_running_) rebuild_done_.Wait(lock);
+  if (!StartRebuildLocked()) return Status::OK();  // nothing buffered
   while (rebuild_running_) rebuild_done_.Wait(lock);
   return last_rebuild_error_;
 }

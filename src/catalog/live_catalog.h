@@ -58,8 +58,8 @@
 // may be called from any number of threads concurrently after Open().
 // Mutations are serialized by a writer lock held for O(f) work; queries
 // share the lock only for the side scan.  Rebuild() blocks the CALLER
-// until the in-flight (or newly started) rebuild installs; it never
-// blocks queries or mutations.
+// until a rebuild started after the call installs; it never blocks
+// queries or mutations.
 
 #ifndef MIPS_CATALOG_LIVE_CATALOG_H_
 #define MIPS_CATALOG_LIVE_CATALOG_H_
@@ -155,9 +155,10 @@ class LiveCatalog {
                       TopKResult* out) EXCLUDES(state_mu_);
 
   /// Folds the write buffer into a fresh epoch NOW and waits for the
-  /// swap (joining an already-running rebuild if one is in flight).
-  /// No-op when nothing is buffered.  Queries keep flowing while this
-  /// caller waits.
+  /// swap, so every mutation made before the call is in the installed
+  /// epoch.  A rebuild already in flight sealed its buffer earlier, so it
+  /// is waited out first.  No-op when nothing is buffered.  Queries keep
+  /// flowing while this caller waits.
   Status Rebuild() EXCLUDES(rebuild_mu_, state_mu_);
 
   /// Persists the live catalog (rows in ascending-id order) to `path`

@@ -9,10 +9,9 @@
 #include "common/timer.h"
 #include "core/dynamic_maximus.h"
 #include "core/maximus.h"
-#include "linalg/gemm.h"
 #include "linalg/simd_dispatch.h"
+#include "solvers/bmm.h"
 #include "solvers/registry.h"
-#include "topk/topk_block.h"
 
 namespace mips {
 
@@ -375,33 +374,29 @@ Status MipsEngine::TopKNewUser(const Real* user_vector, Index k,
   return Status::OK();
 }
 
+const PackedItems& MipsEngine::PackedCatalog() {
+  std::call_once(packed_once_, [this] {
+    for (const auto& solver : solvers_) {
+      if (const auto* bmm = dynamic_cast<const BmmSolver*>(solver.get())) {
+        packed_items_ = bmm->packed_items();
+        return;
+      }
+    }
+    packed_items_ = std::make_shared<const PackedItems>(items_);
+  });
+  return *packed_items_;
+}
+
 Status MipsEngine::DenseScoreNewUsers(const Real* user_vectors,
                                       Index num_rows, Index k,
                                       TopKResult* out) {
-  // Mirrors BmmSolver's small-batch regime: one blocked GEMM per
-  // score-block chunk (macro-panels fan out across the pool), then a
-  // parallel per-row top-K reduction.  Chunking bounds the score block
-  // to ~16 MB however wide the catalog is.
-  const Index n = items_.rows();
   const Index f = items_.cols();
-  const std::size_t row_bytes = static_cast<std::size_t>(n) * sizeof(Real);
-  const Index chunk = static_cast<Index>(std::clamp<std::size_t>(
-      (16ull << 20) / std::max<std::size_t>(1, row_bytes), 1,
-      static_cast<std::size_t>(num_rows)));
-  Matrix scores(chunk, n);
-  for (Index b = 0; b < num_rows; b += chunk) {
-    const Index m = std::min<Index>(chunk, num_rows - b);
-    GemmNT(user_vectors + static_cast<std::size_t>(b) * f, m, items_.data(),
-           n, f, /*alpha=*/1, /*beta=*/0, scores.data(), scores.cols(),
-           pool());
-    ParallelFor(pool(), m, [&](int64_t begin, int64_t end, int /*chunk_i*/) {
-      TopKFromScoreBlock(
-          scores.data() + static_cast<std::size_t>(begin) * scores.cols(),
-          static_cast<Index>(end - begin), n, scores.cols(), k,
-          /*item_offset=*/0, /*item_ids=*/nullptr, out,
-          b + static_cast<Index>(begin));
-    });
+  std::vector<const Real*> rows(static_cast<std::size_t>(num_rows));
+  for (Index r = 0; r < num_rows; ++r) {
+    rows[static_cast<std::size_t>(r)] =
+        user_vectors + static_cast<std::size_t>(r) * f;
   }
+  FusedTopK(PackedCatalog(), rows, k, out, /*row_offset=*/0, pool());
   return Status::OK();
 }
 

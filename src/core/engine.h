@@ -49,6 +49,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,6 +59,7 @@
 #include "common/thread_pool.h"
 #include "core/optimus.h"
 #include "solvers/solver.h"
+#include "topk/fused_topk.h"
 
 namespace mips {
 
@@ -287,10 +289,14 @@ class MipsEngine {
   bool DecisionExpired(const CachedDecision& entry) const
       REQUIRES_SHARED(decision_mu_);
 
-  /// Dense-scoring fallback for new-user batches: one blocked GEMM over
-  /// the items per score-block chunk + per-row top-K.  Used for every
-  /// non-MAXIMUS-family strategy (a new user has no row in any prepared
-  /// index's user-side structures).
+  /// The catalog packed for the fused scorer, made on first use: the bmm
+  /// candidate's packing when the engine has one, else packed here once.
+  const PackedItems& PackedCatalog();
+
+  /// Dense-scoring fallback for new-user batches: the fused GEMM + top-K
+  /// scorer over PackedCatalog().  Used for every non-MAXIMUS-family
+  /// strategy (a new user has no row in any prepared index's user-side
+  /// structures).
   Status DenseScoreNewUsers(const Real* user_vectors, Index num_rows,
                             Index k, TopKResult* out);
 
@@ -303,6 +309,9 @@ class MipsEngine {
 
   ConstRowBlock users_;
   ConstRowBlock items_;
+  /// Set once by PackedCatalog(), under packed_once_.
+  std::once_flag packed_once_;
+  std::shared_ptr<const PackedItems> packed_items_;
   EngineOptions options_;
   std::unique_ptr<ThreadPool> owned_pool_;
   std::vector<std::unique_ptr<MipsSolver>> solvers_;

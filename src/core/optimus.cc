@@ -11,6 +11,20 @@
 #include "stats/ttest.h"
 
 namespace mips {
+namespace {
+
+// A batching strategy's sample call runs at least kMinBatchCalls times,
+// and more (up to kShortCallReps) until its calls have taken
+// kShortCallSeconds in all; the best call counts.  The first call on a
+// freshly prepared solver pays cold caches and page faults, and one stall
+// of the host can multiply a call of a few milliseconds: the fused BMM
+// answers a 656-user sample of netflix ×4 in about 4 ms, and a tiny
+// catalog's whole sample in microseconds.
+constexpr int kMinBatchCalls = 2;
+constexpr double kShortCallSeconds = 1e-3;
+constexpr int kShortCallReps = 8;
+
+}  // namespace
 
 // Everything the decision phase learns that the serving phase can reuse:
 // which users were measured and the top-K rows already computed for them.
@@ -94,7 +108,9 @@ Status Optimus::DecideInternal(const ConstRowBlock& users,
     StrategyEstimate& est = rep.estimates[s];
     double best_call = std::numeric_limits<double>::infinity();
     WallTimer timer;
-    for (int r = 0; r < reps; ++r) {
+    for (int r = 0; r < std::max(reps, kMinBatchCalls) ||
+                    (r < kShortCallReps && timer.Seconds() < kShortCallSeconds);
+         ++r) {
       WallTimer call_timer;
       MIPS_RETURN_IF_ERROR(
           strategies[s]->TopKForUsers(k, sample, &sample_out->results[s]));

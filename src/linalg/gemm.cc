@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/dcheck.h"
-#include "common/thread_pool.h"
 #include "linalg/blas.h"
 #include "linalg/gemm_kernel.h"
 
@@ -113,6 +113,22 @@ void MicroKernel(GemmMicroKernelFn full, const Real* __restrict ap,
 
 }  // namespace
 
+void PackRowPanels(std::span<const Real* const> rows, Index depth,
+                   Index width, Real* dst) {
+  MIPS_DCHECK_GT(width, 0);
+  const Index count = static_cast<Index>(rows.size());
+  for (Index r0 = 0; r0 < count; r0 += width) {
+    const Index w = std::min(width, count - r0);
+    for (Index kk = 0; kk < depth; ++kk) {
+      for (Index r = 0; r < w; ++r) {
+        dst[kk * width + r] = rows[static_cast<std::size_t>(r0 + r)][kk];
+      }
+      for (Index r = w; r < width; ++r) dst[kk * width + r] = 0;
+    }
+    dst += static_cast<std::size_t>(depth) * width;
+  }
+}
+
 void GemmNT(const Real* a, Index m, const Real* b, Index n, Index k,
             Real alpha, Real beta, Real* c, Index ldc) {
   if (m <= 0 || n <= 0) return;
@@ -133,26 +149,32 @@ void GemmNT(const Real* a, Index m, const Real* b, Index n, Index k,
   // One dispatch load per call (first use runs the env/probe install).
   const GemmMicroKernelFn full_tile = ActiveGemmMicroKernel();
 
-  std::vector<Real> apack(static_cast<std::size_t>(kMC + kMR) * kKC);
-  std::vector<Real> bpack(static_cast<std::size_t>(kNC + kNR) * kKC);
+  // Sized to this call's shape, so a few-row product does not pay for a
+  // full kNC x kKC panel, and left uninitialized: PackA / PackB write
+  // every element they hand the micro-kernel, padding included.
+  const std::size_t depth = static_cast<std::size_t>(std::min(kKC, k));
+  const std::unique_ptr<Real[]> apack(
+      new Real[static_cast<std::size_t>(std::min(kMC, m) + kMR) * depth]);
+  const std::unique_ptr<Real[]> bpack(
+      new Real[static_cast<std::size_t>(std::min(kNC, n) + kNR) * depth]);
 
   for (Index j0 = 0; j0 < n; j0 += kNC) {
     const Index nb = std::min(kNC, n - j0);
     for (Index p0 = 0; p0 < k; p0 += kKC) {
       const Index kb = std::min(kKC, k - p0);
-      PackB(b, k, j0, nb, p0, kb, bpack.data());
+      PackB(b, k, j0, nb, p0, kb, bpack.get());
       for (Index i0 = 0; i0 < m; i0 += kMC) {
         const Index mb = std::min(kMC, m - i0);
-        PackA(a, k, i0, mb, p0, kb, apack.data());
+        PackA(a, k, i0, mb, p0, kb, apack.get());
         // Macro kernel: sweep the packed panels.
         for (Index jp = 0; jp < nb; jp += kNR) {
           const Index nr = std::min(kNR, nb - jp);
           const Real* bp =
-              bpack.data() + static_cast<std::size_t>(jp / kNR) * kb * kNR;
+              bpack.get() + static_cast<std::size_t>(jp / kNR) * kb * kNR;
           for (Index ip = 0; ip < mb; ip += kMR) {
             const Index mr = std::min(kMR, mb - ip);
             const Real* ap =
-                apack.data() + static_cast<std::size_t>(ip / kMR) * kb * kMR;
+                apack.get() + static_cast<std::size_t>(ip / kMR) * kb * kMR;
             Real* ctile = c + static_cast<std::size_t>(i0 + ip) * ldc +
                           (j0 + jp);
             MicroKernel(full_tile, ap, bp, kb, alpha, ctile, ldc, mr, nr);
@@ -161,45 +183,6 @@ void GemmNT(const Real* a, Index m, const Real* b, Index n, Index k,
       }
     }
   }
-}
-
-void GemmNT(const Real* a, Index m, const Real* b, Index n, Index k,
-            Real alpha, Real beta, Real* c, Index ldc, ThreadPool* pool) {
-  const int threads = (pool == nullptr) ? 1 : pool->num_threads();
-  if (threads <= 1 || m <= 0 || n <= 0) {
-    GemmNT(a, m, b, n, k, alpha, beta, c, ldc);
-    return;
-  }
-  // Slab-partition the larger output dimension on register-tile
-  // boundaries; every worker runs the full serial blocked algorithm on
-  // its own slab (private pack buffers, disjoint C region).  Per C
-  // element the K-panel order and micro-kernel accumulation sequence are
-  // exactly the serial ones, so the threaded product is bit-for-bit
-  // identical to the single-threaded call.
-  if (n >= m) {
-    const int64_t tiles = (n + kNR - 1) / kNR;
-    for (const RangeChunk& chunk : SplitRange(tiles, threads)) {
-      const Index j0 = static_cast<Index>(chunk.begin) * kNR;
-      const Index j1 = std::min(static_cast<Index>(chunk.end) * kNR, n);
-      if (j0 >= j1) continue;
-      pool->Submit([=]() {
-        GemmNT(a, m, b + static_cast<std::size_t>(j0) * k, j1 - j0, k,
-               alpha, beta, c + j0, ldc);
-      });
-    }
-  } else {
-    const int64_t tiles = (m + kMR - 1) / kMR;
-    for (const RangeChunk& chunk : SplitRange(tiles, threads)) {
-      const Index i0 = static_cast<Index>(chunk.begin) * kMR;
-      const Index i1 = std::min(static_cast<Index>(chunk.end) * kMR, m);
-      if (i0 >= i1) continue;
-      pool->Submit([=]() {
-        GemmNT(a + static_cast<std::size_t>(i0) * k, i1 - i0, b, n, k,
-               alpha, beta, c + static_cast<std::size_t>(i0) * ldc, ldc);
-      });
-    }
-  }
-  pool->Wait();
 }
 
 void GemmNT(const ConstRowBlock& a, const ConstRowBlock& b, Matrix* c) {

@@ -28,11 +28,11 @@
 #ifndef MIPS_LINALG_GEMM_H_
 #define MIPS_LINALG_GEMM_H_
 
+#include <span>
+
 #include "linalg/matrix.h"
 
 namespace mips {
-
-class ThreadPool;
 
 /// K-panel depth of the blocked driver: every C element is accumulated in
 /// per-panel chains of up to this many fma steps, folded into the output
@@ -42,23 +42,21 @@ class ThreadPool;
 /// identical to the dense GEMM score.
 inline constexpr Index kGemmKPanel = 256;
 
+/// Packs `rows` (each `depth` Reals long) into panels of `width` rows for
+/// the micro-kernel: dst[panel][kk][w], rows past rows.size() zero-padded.
+/// Panel p starts at dst + p * depth * width and holds the whole depth, so
+/// one packing serves every kGemmKPanel pass: the pass starting at depth
+/// p0 reads from panel + p0 * width.  dst must hold
+/// ceil(rows.size() / width) * width * depth Reals.
+void PackRowPanels(std::span<const Real* const> rows, Index depth,
+                   Index width, Real* dst);
+
 /// C (m x n) = alpha * A * B^T + beta * C.
 ///
 /// A is m x k row-major, B is n x k row-major (so B^T is k x n), and C is
 /// m x n row-major with leading dimension ldc >= n.
 void GemmNT(const Real* a, Index m, const Real* b, Index n, Index k,
             Real alpha, Real beta, Real* c, Index ldc);
-
-/// Multi-threaded GemmNT: statically partitions the macro-panels of the
-/// larger output dimension (register-tile-aligned slabs of N, or of M)
-/// across `pool`.  Each worker runs the serial blocked kernel on its own
-/// pack buffers over a disjoint slab of C, with the same K-panel and
-/// micro-kernel accumulation order as the serial call — results are
-/// bit-for-bit identical to GemmNT without a pool.  Null pool (or one
-/// worker) falls back to the serial path.  Must not be called from inside
-/// a task already running on `pool` (the internal Wait would deadlock).
-void GemmNT(const Real* a, Index m, const Real* b, Index n, Index k,
-            Real alpha, Real beta, Real* c, Index ldc, ThreadPool* pool);
 
 /// Convenience overload: resizes *c to (a.rows() x b.rows()) and computes
 /// C = A * B^T.

@@ -1,6 +1,7 @@
-// Internal contract between the blocked GEMM driver (gemm.cc), the SIMD
-// micro-kernel variants (gemm_kernel_{avx512,avx2,portable}.cc), and the
-// runtime dispatcher (simd_dispatch.cc).  Not part of the public API —
+// Internal contract between the blocked GEMM drivers (gemm.cc and the
+// fused top-K scorer, topk/fused_topk.cc), the SIMD micro-kernel variants
+// (gemm_kernel_{avx512,avx2,portable}.cc), and the runtime dispatcher
+// (simd_dispatch.cc).  Not part of the public API —
 // include linalg/simd_dispatch.h to choose or inspect kernels.
 //
 // One binary carries every variant: each variant lives in its own
@@ -26,6 +27,8 @@
 
 #ifndef MIPS_LINALG_GEMM_KERNEL_H_
 #define MIPS_LINALG_GEMM_KERNEL_H_
+
+#include <cstdint>
 
 #include "common/types.h"
 
@@ -53,6 +56,21 @@ void GemmMicroKernelAvx2(const Real* ap, const Real* bp, Index kb, Real alpha,
 void GemmMicroKernelPortable(const Real* ap, const Real* bp, Index kb,
                              Real alpha, Real* c, Index ldc);
 
+/// Admit epilogue of the fused top-K scorer (topk/fused_topk.h): over a
+/// dense MR x NR tile (row stride NR), bit r * NR + j of the result is set
+/// iff tile[r * NR + j] >= thresholds[r].  The compare is ordered and
+/// non-strict, exactly TopKHeap::WouldAccept: a score equal to a row's
+/// heap minimum is admitted (Push applies the item-id tie-break), and a
+/// NaN score never is.  The variants differ only in vector width, so the
+/// mask is the same under every kernel.
+using GemmTileAdmitFn = uint64_t (*)(const Real* tile,
+                                     const Real* thresholds);
+static_assert(kGemmMR * kGemmNR == 64, "one admit bit per tile element");
+
+uint64_t GemmTileAdmitAvx512(const Real* tile, const Real* thresholds);
+uint64_t GemmTileAdmitAvx2(const Real* tile, const Real* thresholds);
+uint64_t GemmTileAdmitPortable(const Real* tile, const Real* thresholds);
+
 /// Whether the real intrinsics body (not the portable forward) was
 /// compiled into this binary.
 bool GemmAvx512KernelCompiled();
@@ -62,6 +80,10 @@ bool GemmAvx2KernelCompiled();
 /// override / startup probe first if nothing is installed yet.  gemm.cc
 /// loads this once per GemmNT call.
 GemmMicroKernelFn ActiveGemmMicroKernel();
+
+/// The admit epilogue installed with the active micro-kernel (one ISA
+/// choice governs both, so ForceGemmKernel switches them together).
+GemmTileAdmitFn ActiveGemmTileAdmit();
 
 }  // namespace mips
 

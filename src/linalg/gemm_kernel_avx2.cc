@@ -42,6 +42,22 @@ void GemmMicroKernelAvx2(const Real* ap, const Real* bp, Index kb, Real alpha,
   }
 }
 
+// Four 4-lane ordered >= compares per tile row, gathered with movemask.
+uint64_t GemmTileAdmitAvx2(const Real* tile, const Real* thresholds) {
+  uint64_t mask = 0;
+  for (Index r = 0; r < kGemmMR; ++r) {
+    const Real* row = tile + r * kGemmNR;
+    const __m256d t = _mm256_set1_pd(thresholds[r]);
+    for (int v = 0; v < 4; ++v) {
+      const __m256d ge =
+          _mm256_cmp_pd(_mm256_loadu_pd(row + 4 * v), t, _CMP_GE_OQ);
+      mask |= static_cast<uint64_t>(_mm256_movemask_pd(ge))
+              << (r * kGemmNR + 4 * v);
+    }
+  }
+  return mask;
+}
+
 bool GemmAvx2KernelCompiled() { return true; }
 
 }  // namespace mips
@@ -53,6 +69,10 @@ namespace mips {
 void GemmMicroKernelAvx2(const Real* ap, const Real* bp, Index kb, Real alpha,
                          Real* c, Index ldc) {
   GemmMicroKernelPortable(ap, bp, kb, alpha, c, ldc);
+}
+
+uint64_t GemmTileAdmitAvx2(const Real* tile, const Real* thresholds) {
+  return GemmTileAdmitPortable(tile, thresholds);
 }
 
 bool GemmAvx2KernelCompiled() { return false; }

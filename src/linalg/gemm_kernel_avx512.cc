@@ -50,6 +50,22 @@ void GemmMicroKernelAvx512(const Real* ap, const Real* bp, Index kb,
   update(c + 3 * static_cast<std::size_t>(ldc), acc30, acc31);
 }
 
+// Two 8-lane ordered >= compares per tile row; _CMP_GE_OQ is false on
+// NaN, like the scalar `score >= min` it replaces.
+uint64_t GemmTileAdmitAvx512(const Real* tile, const Real* thresholds) {
+  uint64_t mask = 0;
+  for (Index r = 0; r < kGemmMR; ++r) {
+    const Real* row = tile + r * kGemmNR;
+    const __m512d t = _mm512_set1_pd(thresholds[r]);
+    const uint64_t lo = _mm512_cmp_pd_mask(_mm512_loadu_pd(row), t,
+                                           _CMP_GE_OQ);
+    const uint64_t hi = _mm512_cmp_pd_mask(_mm512_loadu_pd(row + 8), t,
+                                           _CMP_GE_OQ);
+    mask |= (lo | (hi << 8)) << (r * kGemmNR);
+  }
+  return mask;
+}
+
 bool GemmAvx512KernelCompiled() { return true; }
 
 }  // namespace mips
@@ -61,6 +77,10 @@ namespace mips {
 void GemmMicroKernelAvx512(const Real* ap, const Real* bp, Index kb,
                            Real alpha, Real* c, Index ldc) {
   GemmMicroKernelPortable(ap, bp, kb, alpha, c, ldc);
+}
+
+uint64_t GemmTileAdmitAvx512(const Real* tile, const Real* thresholds) {
+  return GemmTileAdmitPortable(tile, thresholds);
 }
 
 bool GemmAvx512KernelCompiled() { return false; }

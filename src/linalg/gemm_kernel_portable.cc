@@ -38,4 +38,15 @@ void GemmMicroKernelPortable(const Real* ap, const Real* bp, Index kb,
   }
 }
 
+uint64_t GemmTileAdmitPortable(const Real* tile, const Real* thresholds) {
+  uint64_t mask = 0;
+  for (Index r = 0; r < kGemmMR; ++r) {
+    for (Index j = 0; j < kGemmNR; ++j) {
+      const Index e = r * kGemmNR + j;
+      mask |= static_cast<uint64_t>(tile[e] >= thresholds[r]) << e;
+    }
+  }
+  return mask;
+}
+
 }  // namespace mips

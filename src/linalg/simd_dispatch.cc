@@ -21,12 +21,15 @@ struct KernelTableEntry {
   GemmKernel kernel;
   const char* name;
   GemmMicroKernelFn fn;
+  GemmTileAdmitFn admit;
 };
 
 constexpr std::array<KernelTableEntry, kNumGemmKernels> kKernelTable = {{
-    {GemmKernel::kPortable, "portable", &GemmMicroKernelPortable},
-    {GemmKernel::kAvx2, "avx2", &GemmMicroKernelAvx2},
-    {GemmKernel::kAvx512, "avx512", &GemmMicroKernelAvx512},
+    {GemmKernel::kPortable, "portable", &GemmMicroKernelPortable,
+     &GemmTileAdmitPortable},
+    {GemmKernel::kAvx2, "avx2", &GemmMicroKernelAvx2, &GemmTileAdmitAvx2},
+    {GemmKernel::kAvx512, "avx512", &GemmMicroKernelAvx512,
+     &GemmTileAdmitAvx512},
 }};
 
 const KernelTableEntry& TableEntry(GemmKernel kernel) {
@@ -48,6 +51,11 @@ std::atomic<int> g_active_source{static_cast<int>(GemmKernelSource::kProbe)};
 /// a step under a racing reader, which is harmless — every dot variant is
 /// bit-for-bit identical (dot_kernel.h).
 std::atomic<DotKernelFn> g_active_dot{nullptr};
+
+/// The fused scorer's admit epilogue, installed with the micro-kernel.
+/// Same lag-by-a-step caveat and the same reason it is harmless: every
+/// variant computes the identical mask (gemm_kernel.h).
+std::atomic<GemmTileAdmitFn> g_active_admit{nullptr};
 
 /// The dot variant matching `kernel`.  A variant whose intrinsics body
 /// was not compiled in already forwards to the portable kernel, but
@@ -151,6 +159,7 @@ void InstallLocked(GemmKernel kernel, GemmKernelSource source,
   g_active_source.store(static_cast<int>(source), std::memory_order_relaxed);
   g_active_kernel.store(static_cast<int>(kernel), std::memory_order_relaxed);
   g_active_dot.store(DotKernelFor(kernel), std::memory_order_release);
+  g_active_admit.store(TableEntry(kernel).admit, std::memory_order_release);
   g_active_fn.store(TableEntry(kernel).fn, std::memory_order_release);
   g_install_epoch.fetch_add(1, std::memory_order_release);
 }
@@ -268,10 +277,21 @@ void ResetGemmKernelForTest() {
   g_active_kernel.store(static_cast<int>(GemmKernel::kPortable),
                         std::memory_order_relaxed);
   g_active_dot.store(nullptr, std::memory_order_release);
+  g_active_admit.store(nullptr, std::memory_order_release);
   g_active_fn.store(nullptr, std::memory_order_release);
 }
 
 GemmMicroKernelFn ActiveGemmMicroKernel() { return EnsureInstalled(); }
+
+GemmTileAdmitFn ActiveGemmTileAdmit() {
+  GemmTileAdmitFn fn = g_active_admit.load(std::memory_order_acquire);
+  if (fn != nullptr) return fn;
+  EnsureInstalled();
+  fn = g_active_admit.load(std::memory_order_acquire);
+  // Same race as ActiveDotKernel below: the portable epilogue is always
+  // a bit-identical answer.
+  return fn != nullptr ? fn : &GemmTileAdmitPortable;
+}
 
 DotKernelFn ActiveDotKernel() {
   DotKernelFn fn = g_active_dot.load(std::memory_order_acquire);

@@ -2,19 +2,12 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
+#include <vector>
 
-#include "linalg/gemm.h"
 #include "solvers/registry.h"
-#include "topk/topk_block.h"
 
 namespace mips {
-namespace {
-
-// Below this many queried users per pool worker, user partitioning leaves
-// workers starved and the GEMM macro-panels are parallelized instead.
-constexpr Index kMinUsersPerThread = 128;
-
-}  // namespace
 
 Status BmmSolver::Prepare(const ConstRowBlock& users,
                           const ConstRowBlock& items) {
@@ -25,7 +18,7 @@ Status BmmSolver::Prepare(const ConstRowBlock& users,
     return Status::InvalidArgument("item set is empty");
   }
   users_ = users;
-  items_ = items;
+  items_ = std::make_shared<const PackedItems>(items);
   prepared_users_ = users.rows();
 
   if (options_.batch_rows > 0) {
@@ -35,9 +28,6 @@ Status BmmSolver::Prepare(const ConstRowBlock& users,
         static_cast<std::size_t>(items.rows()) * sizeof(Real);
     const std::size_t rows = options_.score_block_bytes / std::max<std::size_t>(
                                                               1, row_bytes);
-    // Lower clamp 128: the GEMM needs enough rows per batch to amortize
-    // packing the full item panel even when one score row is very wide
-    // (GloVe-scale catalogs).
     resolved_batch_rows_ = static_cast<Index>(
         std::clamp<std::size_t>(rows, 128, 8192));
   }
@@ -47,60 +37,18 @@ Status BmmSolver::Prepare(const ConstRowBlock& users,
 Status BmmSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
                                TopKResult* out) {
   if (k <= 0) return Status::InvalidArgument("k must be positive");
-  if (items_.rows() <= 0) {
+  if (items_ == nullptr) {
     return Status::FailedPrecondition("Prepare was not called");
   }
   const Index q = static_cast<Index>(user_ids.size());
   *out = TopKResult(q, k);
-  const Index n = items_.rows();
-  const Index f = items_.cols();
-  const Index batch = resolved_batch_rows_;
-
-  // Two parallel regimes (both exact, both bit-identical to the serial
-  // path).  With enough users per worker, the paper's Figure 6 strategy —
-  // static user partitioning, serial GEMM per chunk — amortizes best.
-  // Below that, a small mini-batch against a wide item set would leave
-  // all but one worker idle, so instead the GEMM itself fans its macro-
-  // panels out across the pool and the top-K pass partitions the rows.
-  const bool partition_users =
-      pool_ == nullptr ||
-      q >= static_cast<Index>(pool_->num_threads()) * kMinUsersPerThread;
-  if (partition_users) {
-    ParallelFor(pool_, q, [&](int64_t begin, int64_t end, int /*chunk*/) {
-      Matrix scores(std::min<Index>(batch, static_cast<Index>(end - begin)),
-                    n);
-      for (int64_t b = begin; b < end; b += batch) {
-        const Index m = static_cast<Index>(std::min<int64_t>(batch, end - b));
-        // Gather this batch's user rows so the GEMM sees a contiguous A.
-        const Matrix block = GatherRows(
-            users_, user_ids.subspan(static_cast<std::size_t>(b),
-                                     static_cast<std::size_t>(m)));
-        GemmNT(block.data(), m, items_.data(), n, f, /*alpha=*/1, /*beta=*/0,
-               scores.data(), scores.cols());
-        TopKFromScoreBlock(scores.data(), m, n, scores.cols(), k,
-                           /*item_offset=*/0, /*item_ids=*/nullptr, out,
-                           static_cast<Index>(b));
-      }
-    });
-    return Status::OK();
+  // One call over every user, so the fused scorer picks its threading
+  // regime from the whole batch (topk/fused_topk.h).
+  std::vector<const Real*> rows(user_ids.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    rows[r] = users_.Row(user_ids[r]);
   }
-
-  Matrix scores(std::min<Index>(batch, q), n);
-  for (Index b = 0; b < q; b += batch) {
-    const Index m = std::min<Index>(batch, q - b);
-    const Matrix block = GatherRows(
-        users_, user_ids.subspan(static_cast<std::size_t>(b),
-                                 static_cast<std::size_t>(m)));
-    GemmNT(block.data(), m, items_.data(), n, f, /*alpha=*/1, /*beta=*/0,
-           scores.data(), scores.cols(), pool_);
-    ParallelFor(pool_, m, [&](int64_t begin, int64_t end, int /*chunk*/) {
-      TopKFromScoreBlock(
-          scores.data() + static_cast<std::size_t>(begin) * scores.cols(),
-          static_cast<Index>(end - begin), n, scores.cols(), k,
-          /*item_offset=*/0, /*item_ids=*/nullptr, out,
-          b + static_cast<Index>(begin));
-    });
-  }
+  FusedTopK(*items_, rows, k, out, /*row_offset=*/0, pool_);
   return Status::OK();
 }
 
@@ -109,10 +57,13 @@ namespace {
 const SolverRegistrar kBmmRegistrar(
     SolverSchema("bmm", "blocked-GEMM brute force (Section II-B)")
         .Int("batch_rows", BmmOptions{}.batch_rows,
-             "users per GEMM batch (0 = auto from score_block_bytes)")
+             "kept for older specs: fused scoring keeps no score block, "
+             "so it no longer changes a run (0 = auto from "
+             "score_block_bytes)")
         .Int("score_block_bytes",
              static_cast<int64_t>(BmmOptions{}.score_block_bytes),
-             "byte budget for one batch's score block when batch_rows = 0"),
+             "kept for older specs: resolves batch_rows = 0 to the "
+             "users whose score rows would fill this many bytes"),
     [](const ParamMap& params) -> StatusOr<std::unique_ptr<MipsSolver>> {
       BmmOptions options;
       auto batch_rows = params.GetIndexChecked("batch_rows");

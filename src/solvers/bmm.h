@@ -1,37 +1,44 @@
 // Blocked matrix multiply (BMM) brute force — Section II-B.
 //
-// Users are scored in row batches: one blocked GEMM per batch produces a
-// dense (batch x |I|) score block, and each row is reduced to its top K
-// with a bounded min-heap.  All the hardware efficiency lives in the GEMM
-// (src/linalg/gemm.cc); the heap pass is the K-dependent tail the paper
-// notes ("the runtime for blocked matrix multiply varies with K").
+// The paper scores a block of users with one blocked GEMM and reduces
+// each score row to its top K with a bounded min-heap.  Here both run in
+// one pass (topk/fused_topk.h): the items are packed into micro-kernel
+// panels once at Prepare, and each register tile of scores is checked
+// against the rows' heap minima while it is still in L1, so no score
+// block is written or re-read.  The heap work is the K-dependent tail the
+// paper notes ("the runtime for blocked matrix multiply varies with K").
 //
 // With a thread pool, large query batches are statically partitioned
 // across users (the paper's Figure 6 strategy); small batches instead
-// parallelize the GEMM macro-panels themselves so a handful of users
-// against a wide item set still uses every core.  Both paths produce
-// results bit-identical to the single-threaded solver.
+// split the item panels across the pool and merge each row, so a handful
+// of users against a wide item set still uses every core.  Both paths
+// produce results bit-identical to the single-threaded solver and to
+// GemmNT + TopKFromScoreBlock.
 
 #ifndef MIPS_SOLVERS_BMM_H_
 #define MIPS_SOLVERS_BMM_H_
 
+#include <memory>
+
 #include "solvers/solver.h"
+#include "topk/fused_topk.h"
 
 namespace mips {
 
-/// Options for the BMM solver.
+/// Options for the BMM solver.  Both fields date from the unfused solver,
+/// which materialized a batch_rows x n score block per pass.  The fused
+/// scorer keeps none and scores every user of a call in one pass, so they
+/// no longer change a run; they are still parsed and resolved so existing
+/// specs keep working and batch_rows() reports what they ask for.
 struct BmmOptions {
-  /// Users scored per GEMM batch.  0 = pick automatically from the score
-  /// block memory budget below.
+  /// 0 = resolve from the byte budget below.
   Index batch_rows = 0;
-  /// Budget for one batch's score block when batch_rows == 0.  The paper
-  /// sizes batches to available memory; empirically a last-level-cache-
-  /// sized block is faster here because the top-K pass re-reads it (see
-  /// EXPERIMENTS.md), so the default targets ~16 MB.
+  /// When batch_rows == 0: the number of users whose score rows against
+  /// the whole catalog would fill this many bytes, clamped to [128, 8192].
   std::size_t score_block_bytes = 16ull << 20;
 };
 
-/// Hardware-efficient brute force via blocked GEMM + per-row top-K.
+/// Hardware-efficient brute force via the fused GEMM + per-row top-K.
 class BmmSolver : public MipsSolver {
  public:
   explicit BmmSolver(const BmmOptions& options = {}) : options_(options) {}
@@ -47,10 +54,16 @@ class BmmSolver : public MipsSolver {
   /// Resolved batch size (after Prepare).
   Index batch_rows() const { return resolved_batch_rows_; }
 
+  /// The catalog packed at Prepare (null before), shared so an engine
+  /// that also scores new users densely keeps one packed copy.
+  const std::shared_ptr<const PackedItems>& packed_items() const {
+    return items_;
+  }
+
  private:
   BmmOptions options_;
   ConstRowBlock users_;
-  ConstRowBlock items_;
+  std::shared_ptr<const PackedItems> items_;
   Index resolved_batch_rows_ = 0;
 };
 

@@ -1,23 +1,15 @@
 #include "sparse/hybrid.h"
 
-#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/timer.h"
-#include "linalg/gemm.h"
 #include "solvers/registry.h"
 #include "topk/merge.h"
-#include "topk/topk_block.h"
 
 namespace mips {
-namespace {
-
-/// Score-block byte budget for the dense partition's GEMM batches (same
-/// default regime as bmm's auto batch sizing).
-constexpr std::size_t kScoreBlockBytes = std::size_t{16} << 20;
-
-}  // namespace
 
 Status HybridSolver::Prepare(const ConstRowBlock& users,
                              const ConstRowBlock& items) {
@@ -29,7 +21,7 @@ Status HybridSolver::Prepare(const ConstRowBlock& users,
   prepared_users_ = users.rows();
 
   const Index f = items.cols();
-  dense_ids_.clear();
+  std::vector<Index> dense_ids;
   sparse_ids_.clear();
   for (Index r = 0; r < items.rows(); ++r) {
     const Real* row = items.Row(r);
@@ -40,20 +32,15 @@ Status HybridSolver::Prepare(const ConstRowBlock& users,
     const Real density =
         f > 0 ? static_cast<Real>(nnz) / static_cast<Real>(f) : Real{0};
     if (density >= density_threshold_) {
-      dense_ids_.push_back(r);
+      dense_ids.push_back(r);
     } else {
       sparse_ids_.push_back(r);
     }
   }
 
-  dense_items_ = GatherRows(items, dense_ids_);
   sparse_csr_ = CsrMatrix::FromDenseRows(items, sparse_ids_);
   sparse_index_ = InvertedIndex::Build(sparse_csr_, order_);
-
-  const std::size_t row_bytes =
-      std::max<std::size_t>(1, dense_ids_.size() * sizeof(Real));
-  batch_rows_ = static_cast<Index>(
-      std::clamp<std::size_t>(kScoreBlockBytes / row_bytes, 128, 8192));
+  dense_items_ = PackedItems(items, std::move(dense_ids));
   stage_timer_.Add("construction", timer.Seconds());
   return Status::OK();
 }
@@ -63,47 +50,33 @@ Status HybridSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
   if (k <= 0) return Status::InvalidArgument("k must be positive");
   const Index q = static_cast<Index>(user_ids.size());
   *out = TopKResult(q, k);
-  const Index f = users_.cols();
-  const Index nd = dense_items_.rows();
-  const Index batch = batch_rows_;
+  const bool has_sparse = sparse_csr_.rows() > 0;
 
   ParallelFor(pool_, q, [&](int64_t begin, int64_t end, int /*chunk*/) {
+    const Index b = static_cast<Index>(begin);
+    const Index m = static_cast<Index>(end - begin);
+    std::vector<const Real*> rows(static_cast<std::size_t>(m));
+    for (Index r = 0; r < m; ++r) {
+      rows[static_cast<std::size_t>(r)] =
+          users_.Row(user_ids[static_cast<std::size_t>(b + r)]);
+    }
+    // The dense partition goes through the fused scorer; its packed rows
+    // report global item ids, so its rows merge as they are.
+    if (!has_sparse) {
+      FusedTopK(dense_items_, rows, k, out, b, /*pool=*/nullptr);
+      return;
+    }
+    TopKResult dense(m, k);
+    FusedTopK(dense_items_, rows, k, &dense, 0, /*pool=*/nullptr);
     TopKHeap heap(k);
     SparseQueryScratch scratch;
-    std::vector<TopKEntry> dense_row(static_cast<std::size_t>(k));
     std::vector<TopKEntry> sparse_row(static_cast<std::size_t>(k));
-    Matrix scores(
-        nd > 0 ? std::min<Index>(batch, static_cast<Index>(end - begin)) : 0,
-        nd);
-    for (int64_t b = begin; b < end; b += batch) {
-      const Index m = static_cast<Index>(std::min<int64_t>(batch, end - b));
-      if (nd > 0) {
-        const Matrix block = GatherRows(
-            users_, user_ids.subspan(static_cast<std::size_t>(b),
-                                     static_cast<std::size_t>(m)));
-        GemmNT(block.data(), m, dense_items_.data(), nd, f, /*alpha=*/1,
-               /*beta=*/0, scores.data(), scores.cols());
-      }
-      for (Index r = 0; r < m; ++r) {
-        const Index row = static_cast<Index>(b) + r;
-        const Real* u = users_.Row(user_ids[static_cast<std::size_t>(row)]);
-        if (nd > 0 && sparse_csr_.rows() > 0) {
-          TopKFromRow(scores.Row(r), nd, k, /*item_offset=*/0,
-                      dense_ids_.data(), dense_row.data());
-          SparseTopKQuery(sparse_csr_, sparse_index_, u, k, sparse_ids_,
-                          &scratch, &heap, sparse_row.data(),
-                          /*stats=*/nullptr);
-          const TopKEntry* rows[] = {dense_row.data(), sparse_row.data()};
-          MergeTopKRows(rows, k, k, out->Row(row));
-        } else if (nd > 0) {
-          TopKFromRow(scores.Row(r), nd, k, /*item_offset=*/0,
-                      dense_ids_.data(), out->Row(row));
-        } else {
-          SparseTopKQuery(sparse_csr_, sparse_index_, u, k, sparse_ids_,
-                          &scratch, &heap, out->Row(row),
-                          /*stats=*/nullptr);
-        }
-      }
+    for (Index r = 0; r < m; ++r) {
+      SparseTopKQuery(sparse_csr_, sparse_index_,
+                      rows[static_cast<std::size_t>(r)], k, sparse_ids_,
+                      &scratch, &heap, sparse_row.data(), /*stats=*/nullptr);
+      const TopKEntry* parts[] = {dense.Row(r), sparse_row.data()};
+      MergeTopKRows(parts, k, k, out->Row(b + r));
     }
   });
   return Status::OK();

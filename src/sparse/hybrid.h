@@ -5,9 +5,10 @@
 // items plus a long sparse tail.  Neither pure plan fits — the blocked
 // GEMM wastes multiplies on the tail's zeros, the inverted index drowns
 // in the head's full posting lists.  The hybrid solver splits the
-// prepared items at a per-row density threshold: rows at or above it form
-// a gathered dense partition scored with the blocked GEMM, the rest
-// become a CSR + inverted-index partition scored with SparseTopKQuery,
+// prepared items at a per-row density threshold: rows at or above it are
+// packed into a dense partition scored by BMM's fused GEMM + top-K scorer
+// (topk/fused_topk.h), the rest become a CSR + inverted-index partition
+// scored with SparseTopKQuery,
 // and each user's two partial top-K rows are merged with the exact k-way
 // merge (topk/merge.h).
 //
@@ -31,6 +32,7 @@
 #include "solvers/solver.h"
 #include "sparse/csr_matrix.h"
 #include "sparse/inverted_index.h"
+#include "topk/fused_topk.h"
 
 namespace mips {
 
@@ -50,7 +52,7 @@ class HybridSolver : public MipsSolver {
                       TopKResult* out) override;
 
   /// Partition sizes after Prepare().
-  Index dense_items() const { return static_cast<Index>(dense_ids_.size()); }
+  Index dense_items() const { return dense_items_.rows(); }
   Index sparse_items() const {
     return static_cast<Index>(sparse_ids_.size());
   }
@@ -60,14 +62,13 @@ class HybridSolver : public MipsSolver {
   PostingOrder order_;
   ConstRowBlock users_;
 
-  // Both id lists are ascending, so partition-local row order preserves
-  // the global item order and remapped ties resolve identically.
-  std::vector<Index> dense_ids_;
+  // Both partitions list their rows in ascending global id order, so
+  // partition-local row order preserves the global item order and
+  // remapped ties resolve identically.
+  PackedItems dense_items_;  // the dense rows, reported by global id
   std::vector<Index> sparse_ids_;
-  Matrix dense_items_;  // gathered rows dense_ids_ of the catalog
   CsrMatrix sparse_csr_;
   InvertedIndex sparse_index_;
-  Index batch_rows_ = 0;
 };
 
 }  // namespace mips

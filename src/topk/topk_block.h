@@ -1,8 +1,11 @@
-// Top-K extraction over dense score blocks.
+// Top-K extraction over materialized score rows and blocks.
 //
-// After BMM (or MAXIMUS's shared item-blocking GEMM) produces a b x n block
-// of scores, each row must be reduced to its K largest entries.  These
-// helpers implement that reduction with a per-row bounded heap.
+// Reduces each row of an already computed b x n score block (for example
+// the approximate tier's centroid scores) to its K largest entries with a
+// per-row bounded heap.  BMM no longer goes through here: it fuses the
+// selection into the GEMM tiles (topk/fused_topk.h) and never writes a
+// score block.  GemmNT + TopKFromScoreBlock stays as the unfused
+// reference that scorer is tested against bit for bit.
 
 #ifndef MIPS_TOPK_TOPK_BLOCK_H_
 #define MIPS_TOPK_TOPK_BLOCK_H_

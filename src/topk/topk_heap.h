@@ -73,14 +73,17 @@ class TopKHeap {
     MIPS_DCHECK(out != nullptr);
     MIPS_DCHECK_LE(size(), k_);
     std::sort(heap_.begin(), heap_.end(), BetterEntry);
+    const Index filled = size();
     Index i = 0;
-    for (; i < size(); ++i) out[i] = heap_[static_cast<std::size_t>(i)];
+    for (; i < filled; ++i) out[i] = heap_[static_cast<std::size_t>(i)];
     for (; i < k_; ++i) {
       out[i] = {-1, -std::numeric_limits<Real>::infinity()};
     }
-    // Adjacent rows must obey the library-wide tie order: score strictly
-    // descending, item id ascending among exact ties.
-    for (Index j = 1; j < i; ++j) {
+    // Adjacent entries must obey the library-wide tie order: score
+    // strictly descending, item id ascending among exact ties.  The
+    // sentinel tail is exempt: it follows a real -inf entry even though
+    // its id (-1) is lower.
+    for (Index j = 1; j < filled; ++j) {
       MIPS_DCHECK(!BetterEntry(out[j], out[j - 1]));
     }
     heap_.clear();

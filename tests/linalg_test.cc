@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "linalg/blas.h"
 #include "linalg/dot_kernel.h"
 #include "linalg/gemm.h"
@@ -213,49 +212,18 @@ INSTANTIATE_TEST_SUITE_P(
         // Micro-kernel edges (MR=4, NR=16).
         std::make_tuple(4, 16, 8), std::make_tuple(5, 17, 8),
         std::make_tuple(3, 15, 7), std::make_tuple(8, 32, 16),
-        // Cache-block edges (MC=64, KC=256, NC=4096).
+        // Cache-block edges (MC=128, KC=256, NC=2048).
         std::make_tuple(64, 64, 64), std::make_tuple(65, 63, 100),
         std::make_tuple(128, 100, 256), std::make_tuple(70, 130, 257),
         std::make_tuple(200, 300, 31),
+        // Pack buffers are sized to the call's shape, so shapes on both
+        // sides of every block edge must fit them: m, n below one
+        // register tile; n = NC + 1 (a second, one-column N block);
+        // k = KC + 1 (a second, one-deep K panel); m = MC + 1.
+        std::make_tuple(2, 3, 5), std::make_tuple(3, 2049, 20),
+        std::make_tuple(5, 40, 257), std::make_tuple(129, 2049, 257),
         // Latent-factor-like shapes.
         std::make_tuple(100, 500, 50), std::make_tuple(37, 211, 10)));
-
-// The threaded overload promises bit-for-bit identity with the serial
-// kernel (each slab runs the same K-panel/micro-kernel order), so this
-// differential sweep uses exact equality, not a tolerance.
-TEST(GemmTest, ThreadedMatchesSerialBitForBit) {
-  ThreadPool pool(4);
-  for (const auto& [m, n, k] :
-       std::vector<std::tuple<int, int, int>>{
-           {1, 1, 1},       // degenerate
-           {3, 2000, 64},   // wide N: column-slab partition
-           {500, 7, 33},    // tall M: row-slab partition
-           {129, 131, 70},  // both dims straddle tile edges
-           {256, 512, 96},  // tile-aligned
-           {2, 4096, 8}}) { // more column tiles than workers
-    const Matrix a = RandomMatrix(m, k, 1000 + m);
-    const Matrix b = RandomMatrix(n, k, 2000 + n);
-    Matrix c_serial(m, n);
-    Matrix c_threaded(m, n);
-    GemmNT(a.data(), m, b.data(), n, k, 1.5, 0.0, c_serial.data(), n);
-    GemmNT(a.data(), m, b.data(), n, k, 1.5, 0.0, c_threaded.data(), n,
-           &pool);
-    for (std::size_t i = 0; i < c_serial.size(); ++i) {
-      ASSERT_EQ(c_serial.data()[i], c_threaded.data()[i])
-          << "element " << i << " shape " << m << "x" << n << "x" << k;
-    }
-    // beta != 0 accumulation partitions identically.
-    Matrix acc_serial = RandomMatrix(m, n, 77);
-    Matrix acc_threaded = acc_serial;
-    GemmNT(a.data(), m, b.data(), n, k, 1.0, 0.5, acc_serial.data(), n);
-    GemmNT(a.data(), m, b.data(), n, k, 1.0, 0.5, acc_threaded.data(), n,
-           &pool);
-    for (std::size_t i = 0; i < acc_serial.size(); ++i) {
-      ASSERT_EQ(acc_serial.data()[i], acc_threaded.data()[i])
-          << "element " << i << " shape " << m << "x" << n << "x" << k;
-    }
-  }
-}
 
 TEST(GemmTest, AlphaBetaHandling) {
   const Matrix a = RandomMatrix(5, 3, 71);
@@ -518,33 +486,24 @@ TEST_F(GemmKernelTest, VariantsMatchPortableBitForBitNT) {
   }
 }
 
-TEST_F(GemmKernelTest, VariantsMatchPortableBitForBitNNAndThreaded) {
-  ThreadPool pool(3);
+TEST_F(GemmKernelTest, VariantsMatchPortableBitForBitNN) {
   const auto shapes = std::vector<std::tuple<int, int, int>>{
       {5, 6, 4}, {129, 131, 70}, {3, 2000, 64}, {500, 7, 33}};
   for (const auto& [m, n, k] : shapes) {
     const Matrix a = RandomMatrix(m, k, 600 + m);
-    const Matrix bt = RandomMatrix(n, k, 700 + n);  // NT operand
-    const Matrix b = bt.Transposed();               // NN operand (k x n)
+    const Matrix bt = RandomMatrix(n, k, 700 + n);
+    const Matrix b = bt.Transposed();  // NN operand (k x n)
     ASSERT_TRUE(ForceGemmKernel(GemmKernel::kPortable).ok());
     Matrix want_nn(m, n);
     GemmNN(a.data(), m, b.data(), n, k, 1.0, 0.0, want_nn.data(), n);
-    Matrix want_threaded(m, n);
-    GemmNT(a.data(), m, bt.data(), n, k, 1.0, 0.0, want_threaded.data(), n,
-           &pool);
     for (const GemmKernel kernel : SupportedKernels()) {
       if (kernel == GemmKernel::kPortable) continue;
       ASSERT_TRUE(ForceGemmKernel(kernel).ok());
       Matrix got_nn(m, n);
       GemmNN(a.data(), m, b.data(), n, k, 1.0, 0.0, got_nn.data(), n);
-      Matrix got_threaded(m, n);
-      GemmNT(a.data(), m, bt.data(), n, k, 1.0, 0.0, got_threaded.data(), n,
-             &pool);
       for (std::size_t i = 0; i < want_nn.size(); ++i) {
         ASSERT_EQ(got_nn.data()[i], want_nn.data()[i])
             << "NN " << ToString(kernel) << " element " << i;
-        ASSERT_EQ(got_threaded.data()[i], want_threaded.data()[i])
-            << "threaded " << ToString(kernel) << " element " << i;
       }
     }
   }

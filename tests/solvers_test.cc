@@ -142,7 +142,7 @@ TEST(BmmSolverTest, SubsetQueries) {
 TEST(BmmSolverTest, SmallBatchSizesStillExact) {
   const MFModel model = MakeTestModel(70, 25, 6);
   BmmOptions options;
-  options.batch_rows = 7;  // forces many partial batches
+  options.batch_rows = 7;  // resolved as given; scoring is one fused pass
   BmmSolver bmm(options);
   NaiveSolver naive;
   ASSERT_TRUE(bmm.Prepare(ConstRowBlock(model.users),
