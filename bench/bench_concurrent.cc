@@ -56,29 +56,6 @@ using namespace mips::bench;
 
 namespace {
 
-std::vector<std::string> SplitSpecs(const std::string& csv) {
-  std::vector<std::string> specs;
-  std::string current;
-  for (const char c : csv) {
-    if (c == ',') {
-      if (!current.empty()) specs.push_back(current);
-      current.clear();
-    } else {
-      current += c;
-    }
-  }
-  if (!current.empty()) specs.push_back(current);
-  return specs;
-}
-
-double Percentile(std::vector<double>* sorted_seconds, double p) {
-  if (sorted_seconds->empty()) return 0;
-  const std::size_t idx = std::min(
-      sorted_seconds->size() - 1,
-      static_cast<std::size_t>(p * static_cast<double>(sorted_seconds->size())));
-  return (*sorted_seconds)[idx];
-}
-
 std::vector<double> ParseRateList(const std::string& csv) {
   std::vector<double> rates;
   for (const std::string& spec : SplitSpecs(csv)) {
@@ -195,7 +172,12 @@ OpenLoopRow RunOpenLoop(const std::string& mode, MipsEngine* engine,
                         const MFModel& model, double offered_qps,
                         double window_seconds, Index k,
                         const BatchingOptions& batching, uint64_t seed) {
-  auto created = BatchingEngine::Create(engine, batching);
+  auto created = BatchingEngine::Create(
+      [engine](const Real* vectors, Index rows, Index batch_k,
+               TopKResult* out) {
+        return engine->TopKNewUsers(vectors, rows, batch_k, out);
+      },
+      engine->num_factors(), batching);
   created.status().CheckOK();
   BatchingEngine* batcher = created->get();
 

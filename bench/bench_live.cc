@@ -49,29 +49,6 @@ using namespace mips::bench;
 
 namespace {
 
-std::vector<std::string> SplitSpecs(const std::string& csv) {
-  std::vector<std::string> specs;
-  std::string current;
-  for (const char c : csv) {
-    if (c == ',') {
-      if (!current.empty()) specs.push_back(current);
-      current.clear();
-    } else {
-      current += c;
-    }
-  }
-  if (!current.empty()) specs.push_back(current);
-  return specs;
-}
-
-double Percentile(std::vector<double>* sorted_seconds, double p) {
-  if (sorted_seconds->empty()) return 0;
-  const std::size_t idx = std::min(
-      sorted_seconds->size() - 1,
-      static_cast<std::size_t>(p * static_cast<double>(sorted_seconds->size())));
-  return (*sorted_seconds)[idx];
-}
-
 /// insert:update:remove fractions, normalized from "60:25:15".
 struct MutationMix {
   double insert = 0.6;

@@ -1,5 +1,6 @@
 #include "bench_util.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -28,14 +29,30 @@ void ParseBenchFlags(int argc, char** argv, FlagSet* flags,
   config->seed = static_cast<uint64_t>(seed);
 }
 
-std::vector<Index> ParseKList(const std::string& csv) {
-  std::vector<Index> ks;
+std::vector<std::string> SplitSpecs(const std::string& csv) {
+  std::vector<std::string> specs;
   std::stringstream ss(csv);
   std::string tok;
   while (std::getline(ss, tok, ',')) {
-    if (!tok.empty()) ks.push_back(static_cast<Index>(std::stol(tok)));
+    if (!tok.empty()) specs.push_back(tok);
+  }
+  return specs;
+}
+
+std::vector<Index> ParseKList(const std::string& csv) {
+  std::vector<Index> ks;
+  for (const std::string& tok : SplitSpecs(csv)) {
+    ks.push_back(static_cast<Index>(std::stol(tok)));
   }
   return ks;
+}
+
+double Percentile(std::vector<double>* sorted_seconds, double p) {
+  if (sorted_seconds->empty()) return 0;
+  const std::size_t idx = std::min(
+      sorted_seconds->size() - 1,
+      static_cast<std::size_t>(p * static_cast<double>(sorted_seconds->size())));
+  return (*sorted_seconds)[idx];
 }
 
 MFModel MakeBenchModel(const ModelPreset& preset, const BenchConfig& config) {
@@ -58,7 +75,7 @@ std::vector<ModelPreset> SelectPresets(const BenchConfig& config) {
 }
 
 std::unique_ptr<MipsSolver> MakeSolver(const std::string& spec) {
-  auto solver = CreateSolver(spec);
+  auto solver = CreateSolverFromSpec(spec);
   solver.status().CheckOK();
   return std::move(solver).value();
 }

@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "common/flags.h"
-#include "core/registry.h"
 #include "data/datasets.h"
+#include "solvers/registry.h"
 #include "solvers/solver.h"
 
 namespace mips {
@@ -37,6 +37,13 @@ void ParseBenchFlags(int argc, char** argv, FlagSet* flags,
 
 /// Parses "1,5,10,50" into {1,5,10,50}.
 std::vector<Index> ParseKList(const std::string& csv);
+
+/// Splits a ','-separated list, dropping empty entries.
+std::vector<std::string> SplitSpecs(const std::string& csv);
+
+/// The p-quantile (0 <= p <= 1) of an ascending-sorted sample, by
+/// nearest rank; 0 for an empty sample.
+double Percentile(std::vector<double>* sorted_seconds, double p);
 
 /// Instantiates a preset at config.scale (applying the seed override).
 MFModel MakeBenchModel(const ModelPreset& preset, const BenchConfig& config);

@@ -28,6 +28,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -322,8 +323,7 @@ int main(int argc, char** argv) {
   }
 
   WallTimer timer;
-  TopKResult result;
-  double elapsed = 0;
+  std::unique_ptr<TopKBackend> backend;
   if (shards > 1) {
     // Sharded serving: one engine (and one OPTIMUS decision) per item
     // shard, exact scatter/gather answers.
@@ -350,16 +350,7 @@ int main(int argc, char** argv) {
                   use_optimus ? "OPTIMUS chose" : "serving with",
                   (*engine)->shard_strategy(s).c_str());
     }
-    if (batching) {
-      auto batcher = BatchingEngine::Create(engine->get(), batching_options);
-      batcher.status().CheckOK();
-      ServeViaBatching(batcher->get(), &*users, k, batch_clients, &result);
-      elapsed = timer.Seconds();
-      PrintBatchingStats(**batcher);
-    } else {
-      (*engine)->TopKAll(k, &result).CheckOK();
-      elapsed = timer.Seconds();
-    }
+    backend = std::move(*engine);
   } else {
     auto engine =
         MipsEngine::Open(ConstRowBlock(*users), item_view, options);
@@ -378,17 +369,27 @@ int main(int argc, char** argv) {
       }
       std::printf("\n");
     }
-    if (batching) {
-      auto batcher = BatchingEngine::Create(engine->get(), batching_options);
-      batcher.status().CheckOK();
-      ServeViaBatching(batcher->get(), &*users, k, batch_clients, &result);
-      elapsed = timer.Seconds();
-      PrintBatchingStats(**batcher);
-    } else {
-      (*engine)->TopKAll(k, &result).CheckOK();
-      elapsed = timer.Seconds();
-    }
+    backend = std::move(*engine);
   }
+
+  TopKResult result;
+  std::unique_ptr<BatchingEngine> batcher;
+  if (batching) {
+    TopKBackend* serving = backend.get();
+    auto created = BatchingEngine::Create(
+        [serving](const Real* vectors, Index rows, Index batch_k,
+                  TopKResult* out) {
+          return serving->TopKNewUsers(vectors, rows, batch_k, out);
+        },
+        serving->num_factors(), batching_options);
+    created.status().CheckOK();
+    batcher = std::move(*created);
+    ServeViaBatching(batcher.get(), &*users, k, batch_clients, &result);
+  } else {
+    backend->TopKAll(k, &result).CheckOK();
+  }
+  const double elapsed = timer.Seconds();
+  if (batcher != nullptr) PrintBatchingStats(*batcher);
   WriteTopKCsv(result, out_path).CheckOK();
   std::printf("served %d users in %.3f s (%.1f us/user); results -> %s\n",
               result.num_queries(), elapsed,

@@ -17,7 +17,6 @@
 #include "common/timer.h"
 #include "core/approx_cluster.h"
 #include "core/optimus.h"
-#include "core/registry.h"
 #include "data/datasets.h"
 #include "solvers/bmm.h"
 #include "solvers/lemp/lemp.h"

@@ -8,6 +8,7 @@
 
 #include "catalog/segment.h"
 #include "linalg/gemm.h"
+#include "shard/sharded_engine.h"
 #include "topk/merge.h"
 #include "topk/topk_heap.h"
 
@@ -32,12 +33,6 @@ LiveCatalog::Epoch::~Epoch() {
 
 bool LiveCatalog::Epoch::Contains(Index id) const {
   return std::binary_search(ids.begin(), ids.end(), id);
-}
-
-int64_t LiveCatalog::Epoch::InvalidateDecisions() const {
-  if (engine != nullptr) return engine->InvalidateDecisions();
-  if (sharded != nullptr) return sharded->InvalidateDecisions();
-  return 0;
 }
 
 StatusOr<std::unique_ptr<LiveCatalog>> LiveCatalog::Open(
@@ -106,7 +101,7 @@ Status LiveCatalog::OpenEpochEngine(Epoch* epoch) {
     engine_options.shared_pool = pool_.get();
     auto engine = MipsEngine::Open(users_, epoch->items, engine_options);
     MIPS_RETURN_IF_ERROR(engine.status());
-    epoch->engine = std::move(*engine);
+    epoch->backend = std::move(*engine);
     return Status::OK();
   }
   ShardedEngineOptions sharded_options;
@@ -118,7 +113,7 @@ Status LiveCatalog::OpenEpochEngine(Epoch* epoch) {
   auto engine = ShardedMipsEngine::Open(users_, epoch->items,
                                         sharded_options);
   MIPS_RETURN_IF_ERROR(engine.status());
-  epoch->sharded = std::move(*engine);
+  epoch->backend = std::move(*engine);
   return Status::OK();
 }
 
@@ -153,6 +148,7 @@ StatusOr<Index> LiveCatalog::Insert(std::span<const Real> vector) {
         "vector has " + std::to_string(vector.size()) + " factors, want " +
         std::to_string(f));
   }
+  MIPS_RETURN_IF_ERROR(CheckFinite(vector, "item vector"));
   Index id = -1;
   bool should_rebuild = false;
   {
@@ -175,6 +171,7 @@ Status LiveCatalog::Update(Index id, std::span<const Real> vector) {
         "vector has " + std::to_string(vector.size()) + " factors, want " +
         std::to_string(f));
   }
+  MIPS_RETURN_IF_ERROR(CheckFinite(vector, "item vector"));
   bool should_rebuild = false;
   {
     WriterMutexLock lock(state_mu_);
@@ -290,22 +287,13 @@ Status LiveCatalog::Query(Index k, std::span<const Index> user_ids,
     dead_union.insert(sealed->dead.begin(), sealed->dead.end());
   }
   std::vector<TopKEntry> base_rows = SentinelRows(num_rows, k);
-  if (epoch->has_engine()) {
+  if (epoch->backend != nullptr) {
     const Index k_base = k + static_cast<Index>(dead_union.size());
     TopKResult raw;
-    Status status;
-    if (!user_ids.empty()) {
-      status = epoch->engine != nullptr
-                   ? epoch->engine->TopK(k_base, user_ids, &raw)
-                   : epoch->sharded->TopK(k_base, user_ids, &raw);
-    } else {
-      status = epoch->engine != nullptr
-                   ? epoch->engine->TopKNewUsers(vectors, num_rows, k_base,
-                                                 &raw)
-                   : epoch->sharded->TopKNewUsers(vectors, num_rows, k_base,
-                                                  &raw);
-    }
-    MIPS_RETURN_IF_ERROR(status);
+    MIPS_RETURN_IF_ERROR(
+        !user_ids.empty()
+            ? epoch->backend->TopK(k_base, user_ids, &raw)
+            : epoch->backend->TopKNewUsers(vectors, num_rows, k_base, &raw));
     for (Index q = 0; q < num_rows; ++q) {
       const TopKEntry* in = raw.Row(q);
       TopKEntry* dst = &base_rows[static_cast<std::size_t>(q) *
@@ -336,17 +324,7 @@ Status LiveCatalog::Query(Index k, std::span<const Index> user_ids,
 
 Status LiveCatalog::TopK(Index k, std::span<const Index> user_ids,
                          TopKResult* out) {
-  if (k <= 0) {
-    return Status::InvalidArgument("k must be positive, got " +
-                                   std::to_string(k));
-  }
-  for (const Index id : user_ids) {
-    if (id < 0 || id >= users_.rows()) {
-      return Status::OutOfRange(
-          "user id out of range: " + std::to_string(id) + " (catalog has " +
-          std::to_string(users_.rows()) + " users)");
-    }
-  }
+  MIPS_RETURN_IF_ERROR(CheckKnownUsers(k, user_ids));
   const Index num_rows = static_cast<Index>(user_ids.size());
   if (num_rows == 0) {
     *out = TopKResult(0, k);
@@ -363,35 +341,26 @@ Status LiveCatalog::TopK(Index k, std::span<const Index> user_ids,
   return Query(k, user_ids, gathered.data(), num_rows, out);
 }
 
-Status LiveCatalog::TopKAll(Index k, TopKResult* out) {
-  std::vector<Index> ids(static_cast<std::size_t>(users_.rows()));
-  std::iota(ids.begin(), ids.end(), Index{0});
-  return TopK(k, ids, out);
-}
-
-Status LiveCatalog::TopKNewUser(const Real* user_vector, Index k,
-                                TopKEntry* out_row) {
-  TopKResult one;
-  MIPS_RETURN_IF_ERROR(TopKNewUsers(user_vector, 1, k, &one));
-  const TopKEntry* row = one.Row(0);
-  for (Index e = 0; e < k; ++e) out_row[e] = row[e];
-  return Status::OK();
-}
-
 Status LiveCatalog::TopKNewUsers(const Real* user_vectors, Index num_rows,
                                  Index k, TopKResult* out) {
-  if (k <= 0) {
-    return Status::InvalidArgument("k must be positive, got " +
-                                   std::to_string(k));
-  }
-  if (user_vectors == nullptr) {
-    return Status::InvalidArgument("user_vectors must not be null");
-  }
-  if (num_rows <= 0) {
-    return Status::InvalidArgument("num_rows must be positive, got " +
-                                   std::to_string(num_rows));
-  }
+  MIPS_RETURN_IF_ERROR(CheckNewUsers(user_vectors, num_rows, k));
   return Query(k, {}, user_vectors, num_rows, out);
+}
+
+int64_t LiveCatalog::InvalidateDecisions() {
+  std::shared_ptr<Epoch> epoch;
+  {
+    ReaderMutexLock lock(state_mu_);
+    epoch = epoch_;
+  }
+  return epoch->backend != nullptr ? epoch->backend->InvalidateDecisions()
+                                   : 0;
+}
+
+std::string LiveCatalog::StrategySummary() const {
+  ReaderMutexLock lock(state_mu_);
+  return epoch_->backend != nullptr ? epoch_->backend->StrategySummary()
+                                    : std::string();
 }
 
 void LiveCatalog::MaybeStartRebuild(bool should_rebuild) {
@@ -527,8 +496,10 @@ void LiveCatalog::InstallEpoch(std::shared_ptr<Epoch> next) {
     // install epoch idiom): any query still draining on the old epoch
     // re-decides rather than serving a winner measured on dead
     // statistics.
-    decisions_retired_.fetch_add(old->InvalidateDecisions(),
-                                 std::memory_order_relaxed);
+    if (old->backend != nullptr) {
+      decisions_retired_.fetch_add(old->backend->InvalidateDecisions(),
+                                   std::memory_order_relaxed);
+    }
   }
   // `old` drops here; whichever thread holds the last in-flight
   // reference destroys the retired epoch and bumps epochs_drained_.
@@ -619,15 +590,8 @@ LiveCatalog::Stats LiveCatalog::stats() const {
       dead_union.insert(sealed_->dead.begin(), sealed_->dead.end());
     }
     snapshot.dead_masked = static_cast<Index>(dead_union.size());
-    if (epoch_->engine != nullptr) {
-      snapshot.base_strategy = epoch_->engine->strategy();
-    } else if (epoch_->sharded != nullptr) {
-      for (int s = 0; s < epoch_->sharded->num_shards(); ++s) {
-        if (!snapshot.base_strategy.empty()) snapshot.base_strategy += ",";
-        snapshot.base_strategy += epoch_->sharded->shard_strategy(s);
-      }
-    }
   }
+  snapshot.base_strategy = StrategySummary();
   {
     MutexLock lock(rebuild_mu_);
     snapshot.rebuild_running = rebuild_running_;

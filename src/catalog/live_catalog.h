@@ -10,8 +10,8 @@
 // engines with an epoch design:
 //
 //   * Base epoch — an immutable snapshot of the catalog (rows sorted by
-//     ascending item id) served by a normal MipsEngine (or
-//     ShardedMipsEngine when num_shards > 1) that made its own OPTIMUS
+//     ascending item id) served by one TopKBackend — a MipsEngine, or a
+//     ShardedMipsEngine when num_shards > 1 — that made its own OPTIMUS
 //     decision over exactly that snapshot.
 //   * Write buffer — Insert/Update/Remove land in a small in-memory
 //     buffer (an "active" layer, plus a "sealed" layer while a rebuild
@@ -54,6 +54,10 @@
 // masks exactly the older versions it supersedes, so every live item is
 // scored exactly once per query.
 //
+// Inputs: Insert and Update reject NaN and infinite coordinates with
+// InvalidArgument (an item scored NaN has no place in the tie order),
+// and queries take the TopKBackend argument checks.
+//
 // Thread safety: Insert/Update/Remove/TopK*/Rebuild/SaveSegment/stats()
 // may be called from any number of threads concurrently after Open().
 // Mutations are serialized by a writer lock held for O(f) work; queries
@@ -79,8 +83,8 @@
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
+#include "core/topk_backend.h"
 #include "shard/partition.h"
-#include "shard/sharded_engine.h"
 #include "topk/result.h"
 
 namespace mips {
@@ -110,7 +114,7 @@ struct LiveCatalogOptions {
 };
 
 /// Exact MIPS over an online-mutable catalog; see the file comment.
-class LiveCatalog {
+class LiveCatalog : public TopKBackend {
  public:
   /// Opens over an initial item catalog (rows become items 0..n-1; the
   /// views must outlive the catalog).  `items` may be an empty view —
@@ -121,7 +125,7 @@ class LiveCatalog {
       const LiveCatalogOptions& options = {});
 
   /// Blocks until any in-flight rebuild finishes, then joins its thread.
-  ~LiveCatalog();
+  ~LiveCatalog() override;
 
   LiveCatalog(const LiveCatalog&) = delete;
   LiveCatalog& operator=(const LiveCatalog&) = delete;
@@ -129,9 +133,11 @@ class LiveCatalog {
   /// Adds a new item; returns its permanent id.  Ids are assigned
   /// monotonically and never reused (a removed id stays dead forever) —
   /// the invariant the exactness proof's tie-order argument rests on.
+  /// InvalidArgument for a wrong-width or non-finite vector.
   StatusOr<Index> Insert(std::span<const Real> vector)
       EXCLUDES(state_mu_, rebuild_mu_);
-  /// Replaces the vector of a live item.  NotFound for dead/unknown ids.
+  /// Replaces the vector of a live item.  NotFound for dead/unknown ids,
+  /// InvalidArgument for a wrong-width or non-finite vector.
   Status Update(Index id, std::span<const Real> vector)
       EXCLUDES(state_mu_, rebuild_mu_);
   /// Removes a live item.  NotFound for dead/unknown ids.
@@ -140,19 +146,18 @@ class LiveCatalog {
   /// Exact top-K over the LIVE catalog for a mini-batch of known users;
   /// entry ids are catalog item ids.  Safe for concurrent callers; never
   /// blocks on a rebuild.
-  Status TopK(Index k, std::span<const Index> user_ids, TopKResult* out)
-      EXCLUDES(state_mu_);
-  /// Exact top-K for every prepared user.
-  Status TopKAll(Index k, TopKResult* out) EXCLUDES(state_mu_);
-  /// Exact top-K for one vector outside the user matrix (`out_row` must
-  /// hold k entries); bit-for-bit the 1-row case of TopKNewUsers.
-  Status TopKNewUser(const Real* user_vector, Index k, TopKEntry* out_row)
-      EXCLUDES(state_mu_);
+  Status TopK(Index k, std::span<const Index> user_ids,
+              TopKResult* out) override EXCLUDES(state_mu_);
   /// Exact top-K for `num_rows` new-user vectors (row-major).  Row r
   /// depends only on input row r, so a serving layer may coalesce
   /// batches across epoch swaps without changing any answer.
   Status TopKNewUsers(const Real* user_vectors, Index num_rows, Index k,
-                      TopKResult* out) EXCLUDES(state_mu_);
+                      TopKResult* out) override EXCLUDES(state_mu_);
+
+  /// Retires the current epoch engine's cached decisions.
+  int64_t InvalidateDecisions() override EXCLUDES(state_mu_);
+  /// The current epoch engine's strategy summary ("" while engine-less).
+  std::string StrategySummary() const override EXCLUDES(state_mu_);
 
   /// Folds the write buffer into a fresh epoch NOW and waits for the
   /// swap, so every mutation made before the call is in the installed
@@ -166,10 +171,10 @@ class LiveCatalog {
   /// compacts ids to 0..n-1 in the same order.
   Status SaveSegment(const std::string& path) const EXCLUDES(state_mu_);
 
-  Index num_users() const { return users_.rows(); }
-  Index num_factors() const { return users_.cols(); }
+  Index num_users() const override { return users_.rows(); }
+  Index num_factors() const override { return users_.cols(); }
   /// Live item count (base + buffered - removed).
-  Index num_items() const EXCLUDES(state_mu_);
+  Index num_items() const override EXCLUDES(state_mu_);
   /// Monotone epoch counter, bumped at every swap install.  Lock-free —
   /// cheap enough to sample around individual queries (bench harnesses
   /// use it to attribute latency to swap windows).
@@ -240,20 +245,14 @@ class LiveCatalog {
     /// Row -> catalog id, strictly ascending (so local-row tie order is
     /// id tie order).
     std::vector<Index> ids;
-    std::unique_ptr<MipsEngine> engine;
-    std::unique_ptr<ShardedMipsEngine> sharded;
+    /// The engine serving the snapshot (null while the epoch is empty).
+    std::unique_ptr<TopKBackend> backend;
     /// Bumped by ~Epoch so the catalog's stats() can report drains after
     /// the epoch object itself is gone.
     std::shared_ptr<std::atomic<int64_t>> drain_counter;
 
     ~Epoch();
-    bool has_engine() const {
-      return engine != nullptr || sharded != nullptr;
-    }
     bool Contains(Index id) const;  // binary search over ids
-    /// Invalidate the serving engine's cached decisions (swap-time
-    /// retirement); returns how many were cached.
-    int64_t InvalidateDecisions() const;
   };
 
   LiveCatalog() = default;

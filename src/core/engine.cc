@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <numeric>
 
 #include "common/mutex.h"
 #include "common/timer.h"
@@ -45,18 +44,6 @@ StatusOr<std::unique_ptr<MipsEngine>> MipsEngine::Open(
     return Status::InvalidArgument(
         "decision_ttl_seconds must be >= 0, got " +
         std::to_string(options.decision_ttl_seconds));
-  }
-  if (options.batch_shape_decisions && options.batch_shape_max_bucket < 1) {
-    return Status::InvalidArgument(
-        "batch_shape_max_bucket must be >= 1, got " +
-        std::to_string(options.batch_shape_max_bucket));
-  }
-  for (const Index rows : options.warm_batch_shapes) {
-    if (rows <= 0) {
-      return Status::InvalidArgument(
-          "warm_batch_shapes entries must be positive, got " +
-          std::to_string(rows));
-    }
   }
 
   // Resolve the GEMM kernel before anything measures throughput: index
@@ -166,24 +153,6 @@ StatusOr<std::unique_ptr<MipsEngine>> MipsEngine::Open(
   {
     WriterMutexLock lock(engine->decision_mu_);
     engine->InsertDecision(engine->OpeningKey(), winner);
-    // Pre-decide the caller's expected batch shapes so the first live
-    // request at each shape finds a cached winner instead of paying the
-    // sampling decision inline.  Shapes bucket exactly like live queries;
-    // buckets already decided (including bucket 0 when shape-keying is
-    // off) are skipped.
-    for (const Index rows : options.warm_batch_shapes) {
-      const DecisionKey key{options.k, engine->ShapeBucket(rows)};
-      if (engine->winner_by_k_.find(key) != engine->winner_by_k_.end()) {
-        continue;
-      }
-      OptimusOptions warm_options = options.optimus;
-      warm_options.fixed_sample_users = key.second;
-      Optimus warm_optimus(warm_options);
-      std::size_t warm_winner = 0;
-      MIPS_RETURN_IF_ERROR(warm_optimus.DecidePrepared(
-          users, items, options.k, raw, &warm_winner, nullptr));
-      engine->InsertDecision(key, warm_winner);
-    }
   }
   return engine;
 }
@@ -191,7 +160,7 @@ StatusOr<std::unique_ptr<MipsEngine>> MipsEngine::Open(
 Index MipsEngine::ShapeBucket(Index rows) const {
   if (!options_.batch_shape_decisions) return 0;
   const Index capped =
-      std::clamp<Index>(rows, 1, options_.batch_shape_max_bucket);
+      std::clamp<Index>(rows, 1, kMaxShapeBucket);
   return static_cast<Index>(std::bit_ceil(static_cast<uint32_t>(capped)));
 }
 
@@ -333,17 +302,7 @@ StatusOr<std::size_t> MipsEngine::StrategyFor(Index k, Index batch_rows) {
 
 Status MipsEngine::TopK(Index k, std::span<const Index> user_ids,
                         TopKResult* out) {
-  if (k <= 0) {
-    return Status::InvalidArgument("k must be positive, got " +
-                                   std::to_string(k));
-  }
-  for (const Index id : user_ids) {
-    if (id < 0 || id >= users_.rows()) {
-      return Status::OutOfRange(
-          "user id out of range: " + std::to_string(id) + " (engine has " +
-          std::to_string(users_.rows()) + " users)");
-    }
-  }
+  MIPS_RETURN_IF_ERROR(CheckKnownUsers(k, user_ids));
   auto strategy = StrategyFor(k, static_cast<Index>(user_ids.size()));
   MIPS_RETURN_IF_ERROR(strategy.status());
   WallTimer timer;
@@ -352,25 +311,6 @@ Status MipsEngine::TopK(Index k, std::span<const Index> user_ids,
   stats_.batches_served.fetch_add(1, std::memory_order_relaxed);
   stats_.users_served.fetch_add(static_cast<int64_t>(user_ids.size()),
                                 std::memory_order_relaxed);
-  return Status::OK();
-}
-
-Status MipsEngine::TopKAll(Index k, TopKResult* out) {
-  std::vector<Index> ids(static_cast<std::size_t>(users_.rows()));
-  std::iota(ids.begin(), ids.end(), 0);
-  return TopK(k, ids, out);
-}
-
-Status MipsEngine::TopKNewUser(const Real* user_vector, Index k,
-                               TopKEntry* out_row) {
-  // One code path for singleton and coalesced serving: a 1-row batch.
-  // Every batched row is computed exactly as this call computes it, so
-  // the serve-side coalescing layer (serve/batching_engine.h) returns
-  // bit-for-bit the answer the caller would have gotten alone.
-  TopKResult one;
-  MIPS_RETURN_IF_ERROR(TopKNewUsers(user_vector, 1, k, &one));
-  const TopKEntry* row = one.Row(0);
-  for (Index e = 0; e < k; ++e) out_row[e] = row[e];
   return Status::OK();
 }
 
@@ -402,17 +342,7 @@ Status MipsEngine::DenseScoreNewUsers(const Real* user_vectors,
 
 Status MipsEngine::TopKNewUsers(const Real* user_vectors, Index num_rows,
                                 Index k, TopKResult* out) {
-  if (k <= 0) {
-    return Status::InvalidArgument("k must be positive, got " +
-                                   std::to_string(k));
-  }
-  if (user_vectors == nullptr) {
-    return Status::InvalidArgument("user_vectors must not be null");
-  }
-  if (num_rows <= 0) {
-    return Status::InvalidArgument("num_rows must be positive, got " +
-                                   std::to_string(num_rows));
-  }
+  MIPS_RETURN_IF_ERROR(CheckNewUsers(user_vectors, num_rows, k));
   auto strategy = StrategyFor(k, num_rows);
   MIPS_RETURN_IF_ERROR(strategy.status());
   MipsSolver* solver = solvers_[*strategy].get();

@@ -1,5 +1,6 @@
 // MipsEngine: the one configuration-driven entry point for exact MIPS
-// serving.
+// serving over one catalog, and the TopKBackend (core/topk_backend.h)
+// the sharded and live-catalog layers are built from.
 //
 // Callers hand Open() a model plus candidate strategies *as specs*
 // ("bmm", "maximus:clusters=64", ...).  The engine builds every
@@ -12,15 +13,14 @@
 //     engine re-runs the (cheap, sampling-based) decision for the new k
 //     and caches the winner — or falls back to the opening winner when
 //     re-deciding is disabled.  Either way every answer stays exact.
-//   * TopKAll(k)          — every prepared user.
-//   * TopKNewUser(...)    — a vector outside the prepared user matrix
+//   * TopKNewUsers(...)   — vectors outside the prepared user matrix
 //     (Section III-E): MAXIMUS's dynamic walk when a MAXIMUS-family
-//     strategy is chosen, a dense scoring row otherwise.
+//     strategy is chosen, the fused dense scorer otherwise.
 //
+// TopKAll, TopKNewUser and the argument checks come from TopKBackend.
 // ForceStrategy() overrides the optimizer by candidate name (benches,
 // lesion studies, operator escape hatch); stats() snapshots cumulative
-// serving counters.  ServingSession (serving.h) is a thin compatibility
-// wrapper over this class.
+// serving counters.
 //
 // Thread safety (the contract the multi-client server relies on):
 //
@@ -58,6 +58,7 @@
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "core/optimus.h"
+#include "core/topk_backend.h"
 #include "solvers/solver.h"
 #include "topk/fused_topk.h"
 
@@ -106,7 +107,7 @@ struct EngineOptions {
   double decision_ttl_seconds = 0;
   /// When true, per-k decisions additionally key on the REALIZED BATCH
   /// SHAPE: a query's row count is bucketed to the next power of two
-  /// (capped at batch_shape_max_bucket) and each (k, bucket) pair gets
+  /// (capped at kMaxShapeBucket) and each (k, bucket) pair gets
   /// its own sampling decision, measured on a bucket-sized batch
   /// (OptimusOptions::fixed_sample_users).  This is the paper's central
   /// trade-off surfacing at serve time: a 64-row coalesced batch
@@ -117,19 +118,6 @@ struct EngineOptions {
   /// machinery either way.  BatchingEngine (serve/batching_engine.h)
   /// turns this on for its backend.
   bool batch_shape_decisions = false;
-  /// Largest shape bucket when batch_shape_decisions is set; batches
-  /// beyond it share the cap bucket's decision (amortization has
-  /// saturated by then).
-  Index batch_shape_max_bucket = 128;
-  /// Expected batch row counts to PRE-decide at Open(), so the first
-  /// request at each shape finds a cached winner instead of paying the
-  /// sampling decision inline.  Each entry is bucketed exactly like a
-  /// live query (ShapeBucket; duplicates and same-bucket shapes collapse)
-  /// and decided at the opening k.  Entries must be positive.  Only
-  /// meaningful with batch_shape_decisions = true and >= 2 candidates —
-  /// otherwise every shape already shares the opening decision and the
-  /// list warms nothing.
-  std::vector<Index> warm_batch_shapes;
   /// Which GEMM micro-kernel the engine's BMM/index GEMMs dispatch to
   /// (linalg/simd_dispatch.h).  "auto" keeps the process-wide choice
   /// (MIPS_GEMM_KERNEL env override, else the startup micro-probe);
@@ -143,8 +131,13 @@ struct EngineOptions {
 /// A long-lived exact-MIPS serving engine over one (users, items) model.
 /// The model views must outlive the engine.  See the file comment for the
 /// thread-safety contract.
-class MipsEngine {
+class MipsEngine : public TopKBackend {
  public:
+  /// Largest shape bucket when batch_shape_decisions is set; batches
+  /// beyond it share the cap bucket's decision (amortization has
+  /// saturated by then).
+  static constexpr Index kMaxShapeBucket = 128;
+
   /// Builds the candidates from their specs, prepares them (in parallel
   /// on the engine pool when threads > 0), and runs the opening OPTIMUS
   /// decision.  Spec errors (unknown solver, unknown or ill-typed
@@ -156,17 +149,8 @@ class MipsEngine {
   /// Exact top-K for a mini-batch of known users (ids into the engine's
   /// user matrix), served by the strategy decided for this k.  Safe for
   /// concurrent callers.
-  Status TopK(Index k, std::span<const Index> user_ids, TopKResult* out);
-
-  /// Exact top-K for every prepared user.
-  Status TopKAll(Index k, TopKResult* out);
-
-  /// Exact top-K for a user vector that is NOT in the prepared user
-  /// matrix.  `out_row` must hold k entries.  Serves through the same
-  /// code path as a 1-row TopKNewUsers call, so a singleton answer is
-  /// bit-for-bit the row a coalesced batch would produce for the same
-  /// vector.
-  Status TopKNewUser(const Real* user_vector, Index k, TopKEntry* out_row);
+  Status TopK(Index k, std::span<const Index> user_ids,
+              TopKResult* out) override;
 
   /// Exact top-K for a mini-batch of `num_rows` new-user vectors, stored
   /// contiguously row-major (num_rows x num_factors) at `user_vectors`.
@@ -180,7 +164,7 @@ class MipsEngine {
   /// so results are bit-for-bit identical whether a vector is served
   /// alone or coalesced into any batch.  Safe for concurrent callers.
   Status TopKNewUsers(const Real* user_vectors, Index num_rows, Index k,
-                      TopKResult* out);
+                      TopKResult* out) override;
 
   /// Logically drops every cached per-(k, shape) decision by bumping the
   /// engine's decision generation — the same lazily-checked idiom as the
@@ -195,7 +179,7 @@ class MipsEngine {
   /// bump is a no-op on serving — the opening winner keeps serving, and
   /// exactness is unaffected either way.  Safe to call concurrently with
   /// queries.
-  int64_t InvalidateDecisions() EXCLUDES(decision_mu_);
+  int64_t InvalidateDecisions() override EXCLUDES(decision_mu_);
 
   /// Overrides the optimizer: every subsequent query uses the candidate
   /// whose solver name — or, for tuned variants of the same solver,
@@ -208,6 +192,7 @@ class MipsEngine {
   /// Name of the strategy serving the engine's decision k right now
   /// (the forced strategy when one is set).
   const std::string& strategy() const EXCLUDES(decision_mu_);
+  std::string StrategySummary() const override { return strategy(); }
   /// The opening decision trace (empty estimates for single-candidate
   /// engines).
   const OptimusReport& decision_report() const { return report_; }
@@ -217,9 +202,9 @@ class MipsEngine {
   /// The opening specs, verbatim, in order.
   const std::vector<std::string>& candidate_specs() const { return specs_; }
 
-  Index num_users() const { return users_.rows(); }
-  Index num_items() const { return items_.rows(); }
-  Index num_factors() const { return items_.cols(); }
+  Index num_users() const override { return users_.rows(); }
+  Index num_items() const override { return items_.rows(); }
+  Index num_factors() const override { return items_.cols(); }
 
   /// Snapshot of the cumulative serving statistics.  Each field is
   /// individually consistent; fields may be mutually skewed by in-flight

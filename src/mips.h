@@ -19,8 +19,7 @@
 #include "core/engine.h"          // IWYU pragma: export
 #include "core/maximus.h"         // IWYU pragma: export
 #include "core/optimus.h"         // IWYU pragma: export
-#include "core/registry.h"        // IWYU pragma: export
-#include "core/serving.h"         // IWYU pragma: export
+#include "core/topk_backend.h"    // IWYU pragma: export
 #include "data/datasets.h"        // IWYU pragma: export
 #include "data/io.h"              // IWYU pragma: export
 #include "data/mf_trainer.h"      // IWYU pragma: export

@@ -6,8 +6,7 @@
 
 #include "common/dcheck.h"
 #include "common/timer.h"
-#include "core/engine.h"
-#include "shard/sharded_engine.h"
+#include "core/topk_backend.h"
 
 namespace mips {
 namespace {
@@ -88,30 +87,6 @@ StatusOr<std::unique_ptr<BatchingEngine>> BatchingEngine::Create(
       new BatchingEngine(std::move(backend), num_factors, options));
 }
 
-StatusOr<std::unique_ptr<BatchingEngine>> BatchingEngine::Create(
-    MipsEngine* engine, const BatchingOptions& options) {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("engine must not be null");
-  }
-  return Create(
-      [engine](const Real* vectors, Index rows, Index k, TopKResult* out) {
-        return engine->TopKNewUsers(vectors, rows, k, out);
-      },
-      engine->num_factors(), options);
-}
-
-StatusOr<std::unique_ptr<BatchingEngine>> BatchingEngine::Create(
-    ShardedMipsEngine* engine, const BatchingOptions& options) {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("engine must not be null");
-  }
-  return Create(
-      [engine](const Real* vectors, Index rows, Index k, TopKResult* out) {
-        return engine->TopKNewUsers(vectors, rows, k, out);
-      },
-      engine->num_factors(), options);
-}
-
 BatchingEngine::~BatchingEngine() {
   {
     MutexLock lock(mu_);
@@ -142,6 +117,9 @@ std::future<Status> BatchingEngine::SubmitNewUser(const Real* user_vector,
     return ResolvedFuture(Status::InvalidArgument(
         "k must be positive, got " + std::to_string(k)));
   }
+  Status finite = CheckFinite(
+      {user_vector, static_cast<std::size_t>(num_factors_)}, "user vector");
+  if (!finite.ok()) return ResolvedFuture(std::move(finite));
 
   Request req;
   req.k = k;

@@ -17,8 +17,8 @@
 //   - when the oldest pending request has waited `max_wait` ("timeout
 //     flush"), whichever comes first.
 //
-// Each batch runs through the backend's batched new-user path
-// (MipsEngine::TopKNewUsers / ShardedMipsEngine::TopKNewUsers), where
+// Each batch runs through the backend's batched new-user path (usually
+// a lambda over TopKBackend::TopKNewUsers, core/topk_backend.h), where
 // the engine's shape-keyed decision cache re-runs OPTIMUS for the
 // realized batch size (EngineOptions::batch_shape_decisions) — so a
 // 64-row coalesced batch can pick BMM while singleton stragglers keep
@@ -39,6 +39,10 @@
 //   kDropExpired — purge pending requests whose deadline has already
 //                  passed (they resolve DeadlineExceeded) to make room;
 //                  shed only if still full.
+//
+// Admission rejects a vector with a NaN or infinite coordinate with
+// InvalidArgument before it is queued, so one bad request never fails
+// the batch it would have joined.
 //
 // Requests may carry a deadline; the dispatcher purges expired requests
 // before assembling each batch (resolving them DeadlineExceeded without
@@ -73,9 +77,6 @@
 #include "topk/result.h"
 
 namespace mips {
-
-class MipsEngine;
-class ShardedMipsEngine;
 
 /// What admission does when outstanding rows would exceed the bound.
 enum class OverloadPolicy { kBlock, kShed, kDropExpired };
@@ -115,17 +116,12 @@ class BatchingEngine {
   using Backend =
       std::function<Status(const Real*, Index, Index, TopKResult*)>;
 
-  /// Fronts an arbitrary backend (tests inject counting fakes here).
-  /// `num_factors` is the width of every submitted user vector.
+  /// Fronts `backend`; `num_factors` is the width of every submitted
+  /// user vector.  To front an engine, pass a lambda calling its
+  /// TopKNewUsers (the engine must outlive the batching engine); tests
+  /// inject counting fakes the same way.
   static StatusOr<std::unique_ptr<BatchingEngine>> Create(
       Backend backend, Index num_factors, const BatchingOptions& options);
-  /// Fronts `engine`'s batched new-user path.  The engine must outlive
-  /// the batching engine.
-  static StatusOr<std::unique_ptr<BatchingEngine>> Create(
-      MipsEngine* engine, const BatchingOptions& options);
-  /// Fronts `engine`'s sharded batched new-user path.
-  static StatusOr<std::unique_ptr<BatchingEngine>> Create(
-      ShardedMipsEngine* engine, const BatchingOptions& options);
 
   /// Drains: every admitted request is served (or resolved with its
   /// deadline/shutdown status) before destruction returns.
@@ -133,6 +129,8 @@ class BatchingEngine {
 
   /// Admits one new-user query.  The vector is copied before returning;
   /// `out_row` (k entries) must stay alive until the future resolves.
+  /// A null pointer, k <= 0 or a non-finite coordinate resolves
+  /// InvalidArgument at once, without being queued or counted.
   /// The future carries OK after out_row is filled, or the admission /
   /// deadline / backend error.  `deadline_ms` <= 0 uses
   /// options.default_deadline_ms.

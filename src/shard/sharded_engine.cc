@@ -1,6 +1,5 @@
 #include "shard/sharded_engine.h"
 
-#include <numeric>
 #include <thread>
 
 #include "common/timer.h"
@@ -69,16 +68,16 @@ StatusOr<std::unique_ptr<ShardedMipsEngine>> ShardedMipsEngine::Open(
   return engine;
 }
 
-Status ShardedMipsEngine::ScatterGather(Index k,
-                                        std::span<const Index> user_ids,
+template <typename ShardQuery>
+Status ShardedMipsEngine::ScatterGather(Index k, const ShardQuery& query,
                                         TopKResult* out) {
   // Scatter: each shard answers exact top-k over its own items with
   // local ids...
   std::vector<TopKResult> partials(active_shards_.size());
   for (std::size_t i = 0; i < active_shards_.size(); ++i) {
     const int s = active_shards_[i];
-    MIPS_RETURN_IF_ERROR(engines_[static_cast<std::size_t>(s)]->TopK(
-        k, user_ids, &partials[i]));
+    MIPS_RETURN_IF_ERROR(
+        query(*engines_[static_cast<std::size_t>(s)], &partials[i]));
     // ...gather: remap to global ids through the partition...
     const ItemShard& shard = partition_.shard(s);
     TopKResult& partial = partials[i];
@@ -100,84 +99,37 @@ Status ShardedMipsEngine::ScatterGather(Index k,
 
 Status ShardedMipsEngine::TopK(Index k, std::span<const Index> user_ids,
                                TopKResult* out) {
-  if (k <= 0) {
-    return Status::InvalidArgument("k must be positive, got " +
-                                   std::to_string(k));
-  }
-  for (const Index id : user_ids) {
-    if (id < 0 || id >= users_.rows()) {
-      return Status::OutOfRange(
-          "user id out of range: " + std::to_string(id) + " (engine has " +
-          std::to_string(users_.rows()) + " users)");
-    }
-  }
+  MIPS_RETURN_IF_ERROR(CheckKnownUsers(k, user_ids));
   WallTimer timer;
-  MIPS_RETURN_IF_ERROR(ScatterGather(k, user_ids, out));
-  {
-    MutexLock lock(stats_mu_);
-    counters_.serve_seconds += timer.Seconds();
-    counters_.batches_served += 1;
-    counters_.users_served += static_cast<int64_t>(user_ids.size());
-  }
-  return Status::OK();
-}
-
-Status ShardedMipsEngine::TopKAll(Index k, TopKResult* out) {
-  std::vector<Index> ids(static_cast<std::size_t>(users_.rows()));
-  std::iota(ids.begin(), ids.end(), 0);
-  return TopK(k, ids, out);
-}
-
-Status ShardedMipsEngine::TopKNewUser(const Real* user_vector, Index k,
-                                      TopKEntry* out_row) {
-  TopKResult one;
-  MIPS_RETURN_IF_ERROR(TopKNewUsers(user_vector, 1, k, &one));
-  const TopKEntry* row = one.Row(0);
-  for (Index e = 0; e < k; ++e) out_row[e] = row[e];
+  MIPS_RETURN_IF_ERROR(ScatterGather(
+      k,
+      [&](MipsEngine& engine, TopKResult* partial) {
+        return engine.TopK(k, user_ids, partial);
+      },
+      out));
+  MutexLock lock(stats_mu_);
+  serve_seconds_ += timer.Seconds();
+  batches_served_ += 1;
+  users_served_ += static_cast<int64_t>(user_ids.size());
   return Status::OK();
 }
 
 Status ShardedMipsEngine::TopKNewUsers(const Real* user_vectors,
                                        Index num_rows, Index k,
                                        TopKResult* out) {
-  if (k <= 0) {
-    return Status::InvalidArgument("k must be positive, got " +
-                                   std::to_string(k));
-  }
-  if (user_vectors == nullptr) {
-    return Status::InvalidArgument("user_vectors must not be null");
-  }
-  if (num_rows <= 0) {
-    return Status::InvalidArgument("num_rows must be positive, got " +
-                                   std::to_string(num_rows));
-  }
+  MIPS_RETURN_IF_ERROR(CheckNewUsers(user_vectors, num_rows, k));
   WallTimer timer;
-  // Scatter the whole batch: each shard answers all rows at once (its own
-  // strategy decision is keyed on this batch shape), then remap and merge
-  // exactly as the known-user path does.
-  std::vector<TopKResult> partials(active_shards_.size());
-  for (std::size_t i = 0; i < active_shards_.size(); ++i) {
-    const int s = active_shards_[i];
-    MIPS_RETURN_IF_ERROR(engines_[static_cast<std::size_t>(s)]->TopKNewUsers(
-        user_vectors, num_rows, k, &partials[i]));
-    const ItemShard& shard = partition_.shard(s);
-    TopKResult& partial = partials[i];
-    for (Index q = 0; q < partial.num_queries(); ++q) {
-      TopKEntry* row = partial.Row(q);
-      for (Index e = 0; e < k; ++e) {
-        if (row[e].item >= 0) row[e].item = shard.ToGlobal(row[e].item);
-      }
-    }
-  }
-  std::vector<const TopKResult*> results;
-  results.reserve(partials.size());
-  for (const TopKResult& partial : partials) results.push_back(&partial);
-  MergeTopKResults(results, k, out);
-  {
-    MutexLock lock(stats_mu_);
-    counters_.serve_seconds += timer.Seconds();
-    counters_.new_users_served += num_rows;
-  }
+  // Each shard answers the whole batch at once (its own strategy
+  // decision is keyed on this batch shape).
+  MIPS_RETURN_IF_ERROR(ScatterGather(
+      k,
+      [&](MipsEngine& engine, TopKResult* partial) {
+        return engine.TopKNewUsers(user_vectors, num_rows, k, partial);
+      },
+      out));
+  MutexLock lock(stats_mu_);
+  serve_seconds_ += timer.Seconds();
+  new_users_served_ += num_rows;
   return Status::OK();
 }
 
@@ -226,19 +178,23 @@ std::string ShardedMipsEngine::shard_strategy(int s) const {
   return engine == nullptr ? std::string() : engine->strategy();
 }
 
-ShardedMipsEngine::Counters ShardedMipsEngine::counters() const {
-  MutexLock lock(stats_mu_);
-  return counters_;
+std::string ShardedMipsEngine::StrategySummary() const {
+  std::string summary;
+  for (int s = 0; s < num_shards(); ++s) {
+    if (s > 0) summary += ",";
+    summary += shard_strategy(s);
+  }
+  return summary;
 }
 
 ShardedMipsEngine::Stats ShardedMipsEngine::stats() const {
   Stats snapshot;
   {
     MutexLock lock(stats_mu_);
-    snapshot.batches_served = counters_.batches_served;
-    snapshot.users_served = counters_.users_served;
-    snapshot.new_users_served = counters_.new_users_served;
-    snapshot.serve_seconds = counters_.serve_seconds;
+    snapshot.batches_served = batches_served_;
+    snapshot.users_served = users_served_;
+    snapshot.new_users_served = new_users_served_;
+    snapshot.serve_seconds = serve_seconds_;
   }
   snapshot.shards.resize(static_cast<std::size_t>(num_shards()));
   for (int s = 0; s < num_shards(); ++s) {

@@ -11,10 +11,13 @@
 // shard's winner, serve counters, and re-decisions so that heterogeneity
 // is observable, not hidden.
 //
-// Serving is scatter/gather: a TopK/TopKNewUser call fans across the
+// Serving is scatter/gather: a TopK/TopKNewUsers call fans across the
 // shards, each answers exact top-k over its items (local ids), ids are
 // remapped to global through the partition, and the per-shard rows are
-// k-way merged (topk/merge.h) into the exact global top-k.  Every item
+// k-way merged (topk/merge.h) into the exact global top-k.  Both query
+// paths share that one remap+merge step.  The engine is a TopKBackend
+// (core/topk_backend.h), so it serves wherever a MipsEngine does: behind
+// a BatchingEngine, as a LiveCatalog epoch, in the CLI.  Every item
 // lives in exactly one shard and every layer — heap eviction, strict
 // pruning bounds, row extraction, merge — uses the library-wide
 // BetterEntry tie order, so the merged result is bit-for-bit the
@@ -41,9 +44,9 @@
 // chunks; the per-caller task group on the ROADMAP would decouple them
 // and additionally allow a parallel scatter.
 //
-// Thread safety mirrors MipsEngine: after Open, TopK / TopKAll /
-// TopKNewUser / stats() / ForceStrategy* may be called from any number
-// of threads concurrently.
+// Thread safety mirrors MipsEngine: after Open, every TopKBackend query,
+// stats() and ForceStrategy* may be called from any number of threads
+// concurrently.
 
 #ifndef MIPS_SHARD_SHARDED_ENGINE_H_
 #define MIPS_SHARD_SHARDED_ENGINE_H_
@@ -81,7 +84,7 @@ struct ShardedEngineOptions {
 };
 
 /// Exact MIPS over an item-sharded catalog; see the file comment.
-class ShardedMipsEngine {
+class ShardedMipsEngine : public TopKBackend {
  public:
   /// Partitions the items, opens one MipsEngine per non-empty shard
   /// (concurrently), and runs each shard's OPTIMUS decision.  The model
@@ -94,17 +97,8 @@ class ShardedMipsEngine {
   /// shard, gather + merge.  Identical to the unsharded MipsEngine result
   /// (ids remapped to global; BetterEntry order).  Safe for concurrent
   /// callers.
-  Status TopK(Index k, std::span<const Index> user_ids, TopKResult* out)
-      EXCLUDES(stats_mu_);
-
-  /// Exact global top-K for every prepared user.
-  Status TopKAll(Index k, TopKResult* out);
-
-  /// Exact global top-K for a user vector outside the prepared user
-  /// matrix.  `out_row` must hold k entries.  Routed through the one-row
-  /// batched path, so the answer is bit-for-bit the num_rows = 1 case of
-  /// TopKNewUsers below.
-  Status TopKNewUser(const Real* user_vector, Index k, TopKEntry* out_row);
+  Status TopK(Index k, std::span<const Index> user_ids,
+              TopKResult* out) override EXCLUDES(stats_mu_);
 
   /// Exact global top-K for a mini-batch of new-user vectors
   /// (`num_rows` x num_factors(), row-major): scatter the whole batch to
@@ -114,7 +108,7 @@ class ShardedMipsEngine {
   /// the other batch rows — which is what lets a serving layer coalesce
   /// singleton traffic without changing any answer.
   Status TopKNewUsers(const Real* user_vectors, Index num_rows, Index k,
-                      TopKResult* out) EXCLUDES(stats_mu_);
+                      TopKResult* out) override EXCLUDES(stats_mu_);
 
   /// Forces every shard onto the candidate named by solver name or exact
   /// opening spec.  All shards share the same candidate list, so this
@@ -130,7 +124,9 @@ class ShardedMipsEngine {
   /// MipsEngine::InvalidateDecisions over every non-empty shard (the
   /// catalog layer's swap-time retirement hook); returns the total
   /// number of cached decisions retired.
-  int64_t InvalidateDecisions();
+  int64_t InvalidateDecisions() override;
+  /// Per-shard strategies in shard order, joined with ','.
+  std::string StrategySummary() const override;
 
   int num_shards() const { return partition_.num_shards(); }
   const ItemPartition& partition() const { return partition_; }
@@ -144,9 +140,9 @@ class ShardedMipsEngine {
   /// Precondition: 0 <= s < num_shards() (asserted).
   std::string shard_strategy(int s) const;
 
-  Index num_users() const { return users_.rows(); }
-  Index num_items() const { return partition_.num_items(); }
-  Index num_factors() const { return users_.cols(); }
+  Index num_users() const override { return users_.rows(); }
+  Index num_items() const override { return partition_.num_items(); }
+  Index num_factors() const override { return users_.cols(); }
 
   /// Aggregate + per-shard serving statistics.
   struct ShardSnapshot {
@@ -178,26 +174,13 @@ class ShardedMipsEngine {
   };
   Stats stats() const EXCLUDES(stats_mu_);
 
-  /// Just the sharded-engine-level counters above — one lock, four
-  /// copies, no per-shard snapshot.  For per-request hot paths
-  /// (ServingSession) where stats()'s vector + string + per-shard-lock
-  /// cost is too much.  The snapshot is cross-field consistent: a
-  /// scatter/gather publishes all of its counter updates under one lock,
-  /// so a reader never sees batches_served without its serve_seconds.
-  struct Counters {
-    int64_t batches_served = 0;
-    int64_t users_served = 0;
-    int64_t new_users_served = 0;
-    double serve_seconds = 0;
-  };
-  Counters counters() const EXCLUDES(stats_mu_);
-
  private:
   ShardedMipsEngine() = default;
 
-  /// Scatter a batch, remap ids to global, merge into *out.
-  Status ScatterGather(Index k, std::span<const Index> user_ids,
-                       TopKResult* out);
+  /// Runs `query(engine, &partial)` on every non-empty shard, remaps each
+  /// partial result's ids to global, and k-way merges them into *out.
+  template <typename ShardQuery>
+  Status ScatterGather(Index k, const ShardQuery& query, TopKResult* out);
 
   ConstRowBlock users_;
   ShardedEngineOptions options_;
@@ -208,12 +191,14 @@ class ShardedMipsEngine {
   /// Indices of non-empty shards (scatter order).
   std::vector<int> active_shards_;
 
-  /// Engine-level serve counters.  A mutex (not per-field atomics) so
-  /// each scatter/gather's updates publish together and counters() hands
-  /// back a cross-field-consistent snapshot; the lock is taken once per
-  /// batch, far off any per-item path.
+  /// Engine-level serve counters.  One mutex, taken once per batch, so
+  /// each scatter/gather's updates publish together and stats() reads a
+  /// cross-field-consistent snapshot.
   mutable Mutex stats_mu_;
-  Counters counters_ GUARDED_BY(stats_mu_);
+  int64_t batches_served_ GUARDED_BY(stats_mu_) = 0;
+  int64_t users_served_ GUARDED_BY(stats_mu_) = 0;
+  int64_t new_users_served_ GUARDED_BY(stats_mu_) = 0;
+  double serve_seconds_ GUARDED_BY(stats_mu_) = 0;
 };
 
 }  // namespace mips

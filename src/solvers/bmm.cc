@@ -1,6 +1,5 @@
 #include "solvers/bmm.h"
 
-#include <algorithm>
 #include <memory>
 #include <span>
 #include <vector>
@@ -20,17 +19,6 @@ Status BmmSolver::Prepare(const ConstRowBlock& users,
   users_ = users;
   items_ = std::make_shared<const PackedItems>(items);
   prepared_users_ = users.rows();
-
-  if (options_.batch_rows > 0) {
-    resolved_batch_rows_ = options_.batch_rows;
-  } else {
-    const std::size_t row_bytes =
-        static_cast<std::size_t>(items.rows()) * sizeof(Real);
-    const std::size_t rows = options_.score_block_bytes / std::max<std::size_t>(
-                                                              1, row_bytes);
-    resolved_batch_rows_ = static_cast<Index>(
-        std::clamp<std::size_t>(rows, 128, 8192));
-  }
   return Status::OK();
 }
 
@@ -55,29 +43,9 @@ Status BmmSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
 namespace {
 
 const SolverRegistrar kBmmRegistrar(
-    SolverSchema("bmm", "blocked-GEMM brute force (Section II-B)")
-        .Int("batch_rows", BmmOptions{}.batch_rows,
-             "kept for older specs: fused scoring keeps no score block, "
-             "so it no longer changes a run (0 = auto from "
-             "score_block_bytes)")
-        .Int("score_block_bytes",
-             static_cast<int64_t>(BmmOptions{}.score_block_bytes),
-             "kept for older specs: resolves batch_rows = 0 to the "
-             "users whose score rows would fill this many bytes"),
-    [](const ParamMap& params) -> StatusOr<std::unique_ptr<MipsSolver>> {
-      BmmOptions options;
-      auto batch_rows = params.GetIndexChecked("batch_rows");
-      MIPS_RETURN_IF_ERROR(batch_rows.status());
-      const int64_t block_bytes = params.GetInt("score_block_bytes");
-      if (*batch_rows < 0) {
-        return Status::InvalidArgument("batch_rows must be >= 0");
-      }
-      if (block_bytes <= 0) {
-        return Status::InvalidArgument("score_block_bytes must be positive");
-      }
-      options.batch_rows = *batch_rows;
-      options.score_block_bytes = static_cast<std::size_t>(block_bytes);
-      return std::unique_ptr<MipsSolver>(new BmmSolver(options));
+    SolverSchema("bmm", "blocked-GEMM brute force (Section II-B)"),
+    [](const ParamMap&) -> StatusOr<std::unique_ptr<MipsSolver>> {
+      return std::unique_ptr<MipsSolver>(new BmmSolver());
     });
 
 }  // namespace

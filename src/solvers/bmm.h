@@ -25,23 +25,17 @@
 
 namespace mips {
 
-/// Options for the BMM solver.  Both fields date from the unfused solver,
-/// which materialized a batch_rows x n score block per pass.  The fused
-/// scorer keeps none and scores every user of a call in one pass, so they
-/// no longer change a run; they are still parsed and resolved so existing
-/// specs keep working and batch_rows() reports what they ask for.
+/// The unfused solver's score-block budget.  The fused scorer writes no
+/// score block and takes no options; the budget stays only as the block
+/// size the benchmark's per-layer GEMM + selection probe times.
 struct BmmOptions {
-  /// 0 = resolve from the byte budget below.
-  Index batch_rows = 0;
-  /// When batch_rows == 0: the number of users whose score rows against
-  /// the whole catalog would fill this many bytes, clamped to [128, 8192].
+  /// Bytes of score rows one unfused GEMM pass would fill.
   std::size_t score_block_bytes = 16ull << 20;
 };
 
 /// Hardware-efficient brute force via the fused GEMM + per-row top-K.
 class BmmSolver : public MipsSolver {
  public:
-  explicit BmmSolver(const BmmOptions& options = {}) : options_(options) {}
 
   std::string name() const override { return "bmm"; }
   bool batches_users() const override { return true; }
@@ -51,9 +45,6 @@ class BmmSolver : public MipsSolver {
   Status TopKForUsers(Index k, std::span<const Index> user_ids,
                       TopKResult* out) override;
 
-  /// Resolved batch size (after Prepare).
-  Index batch_rows() const { return resolved_batch_rows_; }
-
   /// The catalog packed at Prepare (null before), shared so an engine
   /// that also scores new users densely keeps one packed copy.
   const std::shared_ptr<const PackedItems>& packed_items() const {
@@ -61,10 +52,8 @@ class BmmSolver : public MipsSolver {
   }
 
  private:
-  BmmOptions options_;
   ConstRowBlock users_;
   std::shared_ptr<const PackedItems> items_;
-  Index resolved_batch_rows_ = 0;
 };
 
 }  // namespace mips

@@ -165,9 +165,9 @@ class SolverRegistry {
 /// Put one of these at namespace scope in the solver's .cc file:
 ///
 ///   namespace {
-///   const SolverRegistrar kBmm(
-///       SolverSchema("bmm", "blocked matrix multiply brute force")
-///           .Int("batch_rows", 0, "users per GEMM batch (0 = auto)"),
+///   const SolverRegistrar kLemp(
+///       SolverSchema("lemp", "bucketed index over item norms")
+///           .Int("bucket_size", 0, "items per bucket (0 = auto)"),
 ///       [](const ParamMap& params) { ... });
 ///   }  // namespace
 struct SolverRegistrar {

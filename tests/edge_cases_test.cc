@@ -1,18 +1,24 @@
 // Adversarial and degenerate inputs across all solvers: exact ties,
 // duplicate items, zero vectors, single-dimension factors, identical
 // users, and large-k GEMM paths.  Every solver must stay exact (same
-// score sequences as brute force) on all of them.
+// score sequences as brute force) on all of them.  Inputs the contract
+// cannot honour — NaN and infinite coordinates — must fail with
+// InvalidArgument at every public entry point instead, and the
+// TopKBackend surface must reach every serving layer.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <limits>
+#include <vector>
 
 #include "core/maximus.h"
 #include "core/optimus.h"
-#include "core/registry.h"
 #include "linalg/gemm.h"
 #include "mips.h"
 #include "solvers/bmm.h"
+#include "solvers/registry.h"
 #include "test_util.h"
 
 namespace mips {
@@ -30,8 +36,8 @@ void ExpectAllSolversExact(const MFModel& model, Index k, Real tol = 1e-7) {
                                 ConstRowBlock(model.items)).ok());
   TopKResult expected;
   ASSERT_TRUE(reference.TopKAll(k, &expected).ok());
-  for (const std::string& name : AvailableSolvers()) {
-    auto solver = CreateSolver(name);
+  for (const std::string& name : RegisteredSolverNames()) {
+    auto solver = CreateSolverFromSpec(name);
     ASSERT_TRUE(solver.ok());
     ASSERT_TRUE((*solver)->Prepare(ConstRowBlock(model.users),
                                    ConstRowBlock(model.items)).ok())
@@ -221,13 +227,150 @@ TEST(EdgeCasesTest, OptimusWithDuplicateStrategyTypes) {
 TEST(EdgeCasesTest, UmbrellaHeaderCompilesAndWorks) {
   // mips.h pulls in the whole public API; spot-check a cross-module flow.
   const MFModel model = MakeTestModel(50, 30, 4, 13);
-  auto solver = CreateSolver("maximus");
+  auto solver = CreateSolverFromSpec("maximus");
   ASSERT_TRUE(solver.ok());
   ASSERT_TRUE((*solver)->Prepare(ConstRowBlock(model.users),
                                  ConstRowBlock(model.items)).ok());
   TopKResult out;
   ASSERT_TRUE((*solver)->TopKAll(2, &out).ok());
   EXPECT_EQ(out.num_queries(), 50);
+}
+
+// ------------------------------------------------- the TopKBackend surface
+
+TEST(TopKBackendTest, SummariesAndInvalidationReachEveryLayer) {
+  const MFModel model = MakeTestModel(30, 45, 4, 54);
+  const ConstRowBlock users(model.users);
+  const ConstRowBlock items(model.items);
+  EngineOptions engine_options;
+  engine_options.k = 3;
+  engine_options.solvers = {"bmm"};
+  auto engine = MipsEngine::Open(users, items, engine_options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ShardedEngineOptions sharded_options;
+  sharded_options.num_shards = 3;
+  sharded_options.engine = engine_options;
+  auto sharded = ShardedMipsEngine::Open(users, items, sharded_options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  LiveCatalogOptions catalog_options;
+  catalog_options.engine = engine_options;
+  catalog_options.num_shards = 3;
+  auto catalog = LiveCatalog::Open(users, items, catalog_options);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  auto empty = LiveCatalog::Open(users, ConstRowBlock(), catalog_options);
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+
+  EXPECT_EQ((*engine)->StrategySummary(), "bmm");
+  EXPECT_EQ((*sharded)->StrategySummary(), "bmm,bmm,bmm");
+  EXPECT_EQ((*catalog)->StrategySummary(), "bmm,bmm,bmm");
+  EXPECT_EQ((*catalog)->stats().base_strategy, "bmm,bmm,bmm");
+  EXPECT_EQ((*empty)->StrategySummary(), "");
+
+  // Each engine holds its pinned opening decision.
+  EXPECT_EQ((*engine)->InvalidateDecisions(), 1);
+  EXPECT_EQ((*sharded)->InvalidateDecisions(), 3);
+  EXPECT_EQ((*catalog)->InvalidateDecisions(), 3);
+  EXPECT_EQ((*empty)->InvalidateDecisions(), 0);
+}
+
+// ------------------------------------------------------ non-finite inputs
+
+const Real kNonFinite[] = {std::numeric_limits<Real>::quiet_NaN(),
+                           std::numeric_limits<Real>::infinity(),
+                           -std::numeric_limits<Real>::infinity()};
+
+TEST(NonFiniteInputTest, NewUserQueriesFailOnEveryBackend) {
+  const MFModel model = MakeTestModel(40, 60, 6, 51);
+  const ConstRowBlock users(model.users);
+  const ConstRowBlock items(model.items);
+  EngineOptions engine_options;
+  engine_options.k = 5;
+  engine_options.solvers = {"bmm", "maximus"};
+  auto engine = MipsEngine::Open(users, items, engine_options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ShardedEngineOptions sharded_options;
+  sharded_options.num_shards = 3;
+  sharded_options.engine = engine_options;
+  auto sharded = ShardedMipsEngine::Open(users, items, sharded_options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  LiveCatalogOptions catalog_options;
+  catalog_options.engine = engine_options;
+  auto catalog = LiveCatalog::Open(users, items, catalog_options);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+
+  const std::vector<TopKBackend*> backends = {engine->get(), sharded->get(),
+                                              catalog->get()};
+  for (const Real bad : kNonFinite) {
+    // Two rows: the second carries the bad coordinate, so the whole
+    // batch fails rather than returning a row for the good one.
+    Matrix batch = RandomMatrix(2, 6, 52);
+    batch.Row(1)[3] = bad;
+    for (TopKBackend* backend : backends) {
+      TopKResult out;
+      EXPECT_EQ(backend->TopKNewUsers(batch.data(), 2, 5, &out).code(),
+                StatusCode::kInvalidArgument)
+          << backend->StrategySummary() << " value " << bad;
+      std::vector<TopKEntry> row(5);
+      EXPECT_EQ(backend->TopKNewUser(batch.Row(1), 5, row.data()).code(),
+                StatusCode::kInvalidArgument)
+          << backend->StrategySummary() << " value " << bad;
+      // The good row alone still serves.
+      EXPECT_TRUE(backend->TopKNewUser(batch.Row(0), 5, row.data()).ok());
+    }
+  }
+  // Only the good singletons reached the engines.
+  EXPECT_EQ((*engine)->stats().new_users_served, 3);
+  EXPECT_EQ((*sharded)->stats().new_users_served, 3);
+}
+
+TEST(NonFiniteInputTest, BatchingAdmissionRejectsBeforeQueueing) {
+  const Index f = 4;
+  std::atomic<int> backend_rows{0};
+  auto batching = BatchingEngine::Create(
+      [&backend_rows](const Real*, Index rows, Index k, TopKResult* out) {
+        backend_rows += rows;
+        *out = TopKResult(rows, k);
+        return Status::OK();
+      },
+      f, BatchingOptions());
+  ASSERT_TRUE(batching.ok()) << batching.status().ToString();
+
+  std::vector<TopKEntry> row(3);
+  for (const Real bad : kNonFinite) {
+    std::vector<Real> vector = {1, 2, bad, 4};
+    auto future = (*batching)->SubmitNewUser(vector.data(), 3, row.data());
+    EXPECT_EQ(future.get().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  const std::vector<Real> good = {1, 2, 3, 4};
+  EXPECT_TRUE((*batching)->TopKNewUser(good.data(), 3, row.data()).ok());
+  EXPECT_EQ(backend_rows.load(), 1);
+  const BatchingEngine::Stats stats = (*batching)->stats();
+  EXPECT_EQ(stats.submitted, 1);
+  EXPECT_EQ(stats.served, 1);
+}
+
+TEST(NonFiniteInputTest, CatalogMutationsReject) {
+  const MFModel model = MakeTestModel(10, 12, 4, 53);
+  LiveCatalogOptions options;
+  options.engine.k = 3;
+  options.engine.solvers = {"bmm"};
+  auto catalog = LiveCatalog::Open(ConstRowBlock(model.users),
+                                   ConstRowBlock(model.items), options);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  LiveCatalog& live = **catalog;
+  for (const Real bad : kNonFinite) {
+    const std::vector<Real> vector = {0.5, bad, -1, 2};
+    EXPECT_EQ(live.Insert(vector).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(live.Update(3, vector).code(), StatusCode::kInvalidArgument)
+        << bad;
+  }
+  EXPECT_EQ(live.num_items(), 12);
+  const LiveCatalog::Stats stats = live.stats();
+  EXPECT_EQ(stats.inserts, 0);
+  EXPECT_EQ(stats.updates, 0);
+  EXPECT_EQ(stats.buffered_rows, 0);
 }
 
 }  // namespace

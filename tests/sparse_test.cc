@@ -18,10 +18,10 @@
 
 #include "core/engine.h"
 #include "core/optimus.h"
-#include "core/registry.h"
 #include "linalg/gemm.h"
 #include "shard/sharded_engine.h"
 #include "solvers/bmm.h"
+#include "solvers/registry.h"
 #include "sparse/csr_matrix.h"
 #include "sparse/hybrid.h"
 #include "sparse/inverted_index.h"
@@ -247,7 +247,7 @@ TEST(SindiDifferentialTest, BitForBitAcrossDensitiesOrdersAndK) {
            {"sindi:postings=abs", "sindi:postings=id"}) {
         SCOPED_TRACE(::testing::Message() << spec << " density=" << density
                                           << " k=" << k);
-        auto solver = CreateSolver(spec);
+        auto solver = CreateSolverFromSpec(spec);
         ASSERT_TRUE(solver.ok()) << solver.status().ToString();
         ASSERT_TRUE((*solver)
                         ->Prepare(ConstRowBlock(model.users),
@@ -272,7 +272,7 @@ TEST(SindiDifferentialTest, ExactTiesResolveToSameItems) {
   const TopKResult expected = BmmReference(model, 8);
   for (const std::string spec : {"sindi:postings=abs", "sindi:postings=id"}) {
     SCOPED_TRACE(spec);
-    auto solver = CreateSolver(spec);
+    auto solver = CreateSolverFromSpec(spec);
     ASSERT_TRUE(solver.ok());
     ASSERT_TRUE((*solver)
                     ->Prepare(ConstRowBlock(model.users),
@@ -293,7 +293,7 @@ TEST(SindiDifferentialTest, ZeroOverlapItemsAndPadding) {
   const TopKResult expected = BmmReference(model, k);
   for (const std::string spec : {"sindi:postings=abs", "sindi:postings=id"}) {
     SCOPED_TRACE(spec);
-    auto solver = CreateSolver(spec);
+    auto solver = CreateSolverFromSpec(spec);
     ASSERT_TRUE(solver.ok());
     ASSERT_TRUE((*solver)
                     ->Prepare(ConstRowBlock(model.users),
@@ -394,32 +394,32 @@ TEST(HybridTest, DegeneratePartitionsStayExact) {
 // ---------------------------------------------------------------------
 
 TEST(SparseRegistryTest, SpecsRoundTrip) {
-  const std::vector<std::string> available = AvailableSolvers();
+  const std::vector<std::string> available = RegisteredSolverNames();
   EXPECT_NE(std::find(available.begin(), available.end(), "sindi"),
             available.end());
   EXPECT_NE(std::find(available.begin(), available.end(), "hybrid"),
             available.end());
 
-  auto abs_solver = CreateSolver("sindi");
+  auto abs_solver = CreateSolverFromSpec("sindi");
   ASSERT_TRUE(abs_solver.ok());
   EXPECT_EQ((*abs_solver)->name(), "sindi");
   EXPECT_EQ((*abs_solver)->representation(), "sparse");
   EXPECT_FALSE((*abs_solver)->batches_users());
 
-  auto id_solver = CreateSolver("sindi:postings=id");
+  auto id_solver = CreateSolverFromSpec("sindi:postings=id");
   ASSERT_TRUE(id_solver.ok());
   EXPECT_EQ((*id_solver)->name(), "sindi-id");
 
-  EXPECT_FALSE(CreateSolver("sindi:postings=bogus").ok());
+  EXPECT_FALSE(CreateSolverFromSpec("sindi:postings=bogus").ok());
 
-  auto hybrid = CreateSolver("hybrid:density_threshold=0.5,postings=id");
+  auto hybrid = CreateSolverFromSpec("hybrid:density_threshold=0.5,postings=id");
   ASSERT_TRUE(hybrid.ok());
   EXPECT_EQ((*hybrid)->name(), "hybrid");
   EXPECT_EQ((*hybrid)->representation(), "hybrid");
   EXPECT_TRUE((*hybrid)->batches_users());
 
-  EXPECT_FALSE(CreateSolver("hybrid:density_threshold=-1").ok());
-  EXPECT_FALSE(CreateSolver("hybrid:postings=sideways").ok());
+  EXPECT_FALSE(CreateSolverFromSpec("hybrid:density_threshold=-1").ok());
+  EXPECT_FALSE(CreateSolverFromSpec("hybrid:postings=sideways").ok());
 }
 
 // ---------------------------------------------------------------------
