@@ -198,7 +198,9 @@ OpenLoopRow RunOpenLoop(const std::string& mode, MipsEngine* engine,
   std::vector<TopKEntry> out(static_cast<std::size_t>(total) *
                              static_cast<std::size_t>(k));
   std::vector<std::future<Status>> futures(static_cast<std::size_t>(total));
-  std::vector<Clock::time_point> submit_time(static_cast<std::size_t>(total));
+  // Latency is charged from the scheduled arrival, not from the submit
+  // call: a generator running behind schedule must not hide queueing.
+  std::vector<Clock::time_point> arrival(static_cast<std::size_t>(total));
   std::atomic<int64_t> submitted_count{0};
 
   std::vector<double> latencies;
@@ -218,7 +220,7 @@ OpenLoopRow RunOpenLoop(const std::string& mode, MipsEngine* engine,
       if (status.ok()) {
         ++served;
         latencies.push_back(
-            std::chrono::duration<double>(done - submit_time[idx]).count());
+            std::chrono::duration<double>(done - arrival[idx]).count());
       } else if (status.code() == StatusCode::kResourceExhausted) {
         ++shed;
       } else if (status.code() == StatusCode::kDeadlineExceeded) {
@@ -235,11 +237,11 @@ OpenLoopRow RunOpenLoop(const std::string& mode, MipsEngine* engine,
     const Clock::time_point target =
         start + std::chrono::duration_cast<Clock::duration>(
                     std::chrono::duration<double>(schedule[idx]));
+    arrival[idx] = target;
     // If we are behind schedule the arrivals burst instead of thinning —
     // that is what "open loop" means.
     if (target > Clock::now()) std::this_thread::sleep_until(target);
     const Index user = static_cast<Index>(i % num_users);
-    submit_time[idx] = Clock::now();
     futures[idx] = batcher->SubmitNewUser(model.users.Row(user), k,
                                           &out[idx * static_cast<std::size_t>(k)]);
     submitted_count.store(i + 1, std::memory_order_release);
@@ -426,7 +428,14 @@ int main(int argc, char** argv) {
              [&](Index k, std::span<const Index> batch, TopKResult* out) {
                (*sharded)->TopK(k, batch, out).CheckOK();
              },
-             [&]() { return (*sharded)->stats().redecisions; }, &closed_rows);
+             [&]() {
+               int64_t redecisions = 0;
+               for (const auto& shard : (*sharded)->stats().shards) {
+                 redecisions += shard.stats.redecisions;
+               }
+               return redecisions;
+             },
+             &closed_rows);
 
     // Per-shard decision summary: the paper's point is that the winner is
     // data-dependent, so heterogeneous shards should show heterogeneous
@@ -461,7 +470,6 @@ int main(int argc, char** argv) {
     // coalesced batches each get the winner for *their* shape.
     EngineOptions open_options = options;
     open_options.k = open_k;
-    open_options.redecide_on_new_k = true;
     open_options.batch_shape_decisions = true;
     auto open_engine = MipsEngine::Open(ConstRowBlock(model.users),
                                         ConstRowBlock(model.items),

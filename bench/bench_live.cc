@@ -214,9 +214,11 @@ PhaseRow RunPhase(const std::string& phase, LiveCatalog* catalog,
         cursor = (cursor + 1) % num_users;
         const bool rebuilding = rebuild_active.load(std::memory_order_relaxed);
         const int64_t epoch_before = catalog->catalog_epoch();
-        WallTimer timer;
         catalog->TopKNewUser(model.users.Row(cursor), k, out.data()).CheckOK();
-        const double latency = timer.Seconds();
+        // Charged from the scheduled arrival: a request issued late
+        // because its lane fell behind still counts its wait.
+        const double latency =
+            std::chrono::duration<double>(Clock::now() - next).count();
         const bool in_window = rebuilding ||
                                rebuild_active.load(std::memory_order_relaxed) ||
                                catalog->catalog_epoch() != epoch_before;

@@ -26,12 +26,12 @@
 // naming the offending key.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
+#include <deque>
+#include <future>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -73,27 +73,28 @@ Status WriteTopKCsv(const TopKResult& result, const std::string& path) {
                              : Status::IOError("close failed: " + path);
 }
 
-// Replays every loaded user row as a concurrent single-user request
-// through the batching tier: `clients` threads each submit synchronous
-// TopKNewUser calls, which the BatchingEngine coalesces into
-// mini-batches behind their backs.  Answers land in result row q for
-// user q, same layout TopKAll produces.
-void ServeViaBatching(BatchingEngine* batcher, Matrix* users, Index k,
-                      int clients, TopKResult* result) {
-  const Index n = users->rows();
+// Replays every loaded user row as a single-user request through the
+// batching tier, submitted asynchronously from one thread so the
+// BatchingEngine can fill whole mini-batches.  At most `window` requests
+// are outstanding: when the window is full the oldest is waited on
+// first.  The engine releases a batch's admission capacity before it
+// resolves the batch's futures, so a window of max_queue_rows never
+// exceeds the bound, even under the shed policy.  Answers land in result
+// row q for user q, same layout TopKAll produces.
+void ServeViaBatching(BatchingEngine* batcher, const Matrix& users, Index k,
+                      Index window, TopKResult* result) {
+  const Index n = users.rows();
   *result = TopKResult(n, k);
-  std::atomic<Index> next{0};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < clients; ++t) {
-    workers.emplace_back([&]() {
-      while (true) {
-        const Index q = next.fetch_add(1, std::memory_order_relaxed);
-        if (q >= n) break;
-        batcher->TopKNewUser(users->Row(q), k, result->Row(q)).CheckOK();
-      }
-    });
+  std::deque<std::future<Status>> outstanding;
+  for (Index q = 0; q < n; ++q) {
+    if (static_cast<Index>(outstanding.size()) >= window) {
+      outstanding.front().get().CheckOK();
+      outstanding.pop_front();
+    }
+    outstanding.push_back(
+        batcher->SubmitNewUser(users.Row(q), k, result->Row(q)));
   }
-  for (auto& w : workers) w.join();
+  for (auto& pending : outstanding) pending.get().CheckOK();
 }
 
 void PrintBatchingStats(const BatchingEngine& batcher) {
@@ -158,7 +159,6 @@ int main(int argc, char** argv) {
   int32_t batch_rows = 64;
   double batch_wait_ms = 2.0;
   std::string batch_policy = "block";
-  int32_t batch_clients = 4;
   flags.String("users", &users_path, "user factor matrix (.bin or .csv)");
   flags.String("items", &items_path, "item factor matrix (.bin or .csv)");
   flags.String("out", &out_path, "output CSV path");
@@ -177,17 +177,15 @@ int main(int argc, char** argv) {
   flags.Bool("list_solvers", &list_solvers,
              "print every registered solver with its parameter schema");
   flags.Bool("batching", &batching,
-             "serve each user row as a concurrent single-user request "
-             "through the async batching tier (coalesced mini-batches, "
-             "shape-keyed OPTIMUS decisions) instead of one TopKAll call");
+             "serve each user row as a single-user request through the "
+             "async batching tier (coalesced mini-batches, shape-keyed "
+             "OPTIMUS decisions) instead of one TopKAll call");
   flags.Int32("batch_rows", &batch_rows,
               "--batching: max coalesced rows per dispatched batch");
   flags.Double("batch_wait_ms", &batch_wait_ms,
                "--batching: bounded-delay flush timeout");
   flags.String("batch_policy", &batch_policy,
                "--batching overload policy: block, shed, or drop_expired");
-  flags.Int32("batch_clients", &batch_clients,
-              "--batching: concurrent submitter threads");
   flags.Double("density", &density,
                "sparsify the loaded item matrix to this per-row density "
                "before serving (1 = leave dense); exposes the sparse/"
@@ -304,7 +302,6 @@ int main(int argc, char** argv) {
   options.threads = threads;
   // The batching tier serves realized mini-batch shapes, so let the
   // optimizer key its decisions on them.
-  options.redecide_on_new_k = batching;
   options.batch_shape_decisions = batching;
   const bool use_optimus = solver_spec == "optimus";
   options.solvers =
@@ -384,7 +381,8 @@ int main(int argc, char** argv) {
         serving->num_factors(), batching_options);
     created.status().CheckOK();
     batcher = std::move(*created);
-    ServeViaBatching(batcher.get(), &*users, k, batch_clients, &result);
+    ServeViaBatching(batcher.get(), *users, k,
+                     batching_options.max_queue_rows, &result);
   } else {
     backend->TopKAll(k, &result).CheckOK();
   }

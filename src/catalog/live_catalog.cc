@@ -57,10 +57,6 @@ StatusOr<std::unique_ptr<LiveCatalog>> LiveCatalog::Open(
         "rebuild_threshold must be >= 0, got " +
         std::to_string(options.rebuild_threshold));
   }
-  if (options.growth_block < 0) {
-    return Status::InvalidArgument("growth_block must be >= 0, got " +
-                                   std::to_string(options.growth_block));
-  }
 
   std::unique_ptr<LiveCatalog> catalog(new LiveCatalog());
   catalog->users_ = users;
@@ -107,7 +103,6 @@ Status LiveCatalog::OpenEpochEngine(Epoch* epoch) {
   ShardedEngineOptions sharded_options;
   sharded_options.num_shards = options_.num_shards;
   sharded_options.sharding = options_.sharding;
-  sharded_options.growth_block = options_.growth_block;
   sharded_options.engine = options_.engine;
   sharded_options.threads = options_.threads;
   auto engine = ShardedMipsEngine::Open(users_, epoch->items,

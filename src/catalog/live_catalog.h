@@ -92,18 +92,17 @@ namespace mips {
 /// Configuration for LiveCatalog::Open.
 struct LiveCatalogOptions {
   /// Per-epoch engine configuration (decision k, candidate solver specs,
-  /// optimus knobs, decision-cache policy).  Every rebuilt epoch reruns
+  /// optimus knobs, shape-keyed decisions).  Every rebuilt epoch reruns
   /// the OPTIMUS decision under these options over the folded catalog.
   EngineOptions engine;
   /// Item shards per epoch (1 = plain MipsEngine; > 1 = per-epoch
   /// ShardedMipsEngine with one decision per shard).
   int num_shards = 1;
-  /// Placement policy for sharded epochs.  kGrowth pins a block size so
-  /// appends land in the newest shard and prefix shards keep their rows
-  /// across append-only rebuilds (shard/partition.h).
+  /// Placement policy for sharded epochs (shard/partition.h).  Each
+  /// epoch partitions its own folded snapshot, so under kGrowth the block
+  /// size is re-derived from that epoch's item count and shard
+  /// boundaries move across rebuilds.
   ShardingStrategy sharding = ShardingStrategy::kContiguous;
-  /// Pinned kGrowth block size (0 = derive from the epoch's item count).
-  Index growth_block = 0;
   /// Worker threads for epoch engines (0 = single-threaded).  Unsharded
   /// epochs share one catalog-owned pool across swaps; sharded epochs
   /// own a pool per epoch (the sharded engine's contract).

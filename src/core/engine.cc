@@ -35,28 +35,14 @@ StatusOr<std::unique_ptr<MipsEngine>> MipsEngine::Open(
     return Status::InvalidArgument("threads must be >= 0, got " +
                                    std::to_string(options.threads));
   }
-  if (options.decision_cache_capacity < 0) {
-    return Status::InvalidArgument(
-        "decision_cache_capacity must be >= 0, got " +
-        std::to_string(options.decision_cache_capacity));
-  }
-  if (!(options.decision_ttl_seconds >= 0)) {  // rejects negatives and NaN
-    return Status::InvalidArgument(
-        "decision_ttl_seconds must be >= 0, got " +
-        std::to_string(options.decision_ttl_seconds));
-  }
 
-  // Resolve the GEMM kernel before anything measures throughput: index
+  // Install the GEMM kernel before anything measures throughput: index
   // construction and the opening OPTIMUS decision below must run under
   // the kernel that will serve queries, or the decision is attributed to
-  // the wrong hardware regime.
-  if (options.gemm_kernel != "auto") {
-    auto kernel = ParseGemmKernel(options.gemm_kernel);
-    MIPS_RETURN_IF_ERROR(kernel.status());
-    MIPS_RETURN_IF_ERROR(ForceGemmKernel(*kernel));
-  } else {
-    ActiveGemmKernel();  // first-use install: env override, else probe
-  }
+  // the wrong hardware regime.  First use installs the MIPS_GEMM_KERNEL
+  // override, else the probe's pick; callers that want a specific kernel
+  // call ForceGemmKernel before Open.
+  ActiveGemmKernel();
 
   std::unique_ptr<MipsEngine> engine(new MipsEngine());
   engine->users_ = users;
@@ -166,58 +152,45 @@ Index MipsEngine::ShapeBucket(Index rows) const {
 
 void MipsEngine::InsertDecision(DecisionKey key, std::size_t winner) {
   decision_mu_.AssertHeld();
-  winner_by_k_.erase(key);  // re-insert after an expiry refreshes the entry
+  // Re-inserting an invalidated key refreshes its entry.
+  winner_by_k_.erase(key);
   winner_by_k_.emplace(
       std::piecewise_construct, std::forward_as_tuple(key),
       std::forward_as_tuple(
-          winner, std::chrono::steady_clock::now(), GemmKernelEpoch(),
+          winner, GemmKernelEpoch(),
           decision_generation_.load(std::memory_order_relaxed)));
   winner_by_k_.at(key).last_used.store(
       decision_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
       std::memory_order_relaxed);
-  const std::size_t capacity =
-      static_cast<std::size_t>(options_.decision_cache_capacity);
-  if (capacity == 0) return;  // unbounded
-  while (winner_by_k_.size() > capacity) {
-    // Evict the least-recently-used key.  The opening decision is
-    // pinned: the redecide-disabled fallback and strategy() rely on it
-    // being present.
-    auto lru = winner_by_k_.end();
-    uint64_t lru_stamp = std::numeric_limits<uint64_t>::max();
-    for (auto it = winner_by_k_.begin(); it != winner_by_k_.end(); ++it) {
-      if (it->first == OpeningKey()) continue;
-      const uint64_t stamp =
-          it->second.last_used.load(std::memory_order_relaxed);
-      if (stamp < lru_stamp) {
-        lru_stamp = stamp;
-        lru = it;
-      }
+  if (winner_by_k_.size() <= kDecisionCacheCapacity) return;
+  // One insert overflows by at most one entry: evict the least-recently-
+  // used key.  The opening decision is pinned: strategy() and stats()
+  // rely on it being present.
+  auto lru = winner_by_k_.end();
+  uint64_t lru_stamp = std::numeric_limits<uint64_t>::max();
+  for (auto it = winner_by_k_.begin(); it != winner_by_k_.end(); ++it) {
+    if (it->first == OpeningKey()) continue;
+    const uint64_t stamp = it->second.last_used.load(std::memory_order_relaxed);
+    if (stamp < lru_stamp) {
+      lru_stamp = stamp;
+      lru = it;
     }
-    if (lru == winner_by_k_.end()) return;  // only the pinned entry left
-    winner_by_k_.erase(lru);
-    stats_.decision_cache_evictions.fetch_add(1, std::memory_order_relaxed);
   }
+  winner_by_k_.erase(lru);
+  stats_.decision_cache_evictions.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool MipsEngine::DecisionExpired(const CachedDecision& entry) const {
   decision_mu_.AssertReaderHeld();
-  // Staleness only matters when a fresh decision is possible; with
-  // re-deciding disabled (or one candidate) the opening winner serves
-  // forever.
-  if (!options_.redecide_on_new_k || solvers_.size() < 2) return false;
+  // Staleness only matters when a fresh decision is possible; a
+  // single-candidate engine serves its candidate forever.
+  if (solvers_.size() < 2) return false;
   // A kernel re-install changes the throughput regime every wall-clock
-  // estimate in this entry was measured under — stale immediately, no
-  // TTL required.
-  if (entry.kernel_epoch != GemmKernelEpoch()) return true;
-  // Same idiom for InvalidateDecisions: the caller declared the data
-  // regime the entry was measured under gone (e.g. a catalog swap).
-  if (entry.generation !=
-      decision_generation_.load(std::memory_order_relaxed)) {
-    return true;
-  }
-  if (options_.decision_ttl_seconds <= 0) return false;
-  return std::chrono::steady_clock::now() - entry.created >
-         std::chrono::duration<double>(options_.decision_ttl_seconds);
+  // estimate in this entry was measured under; InvalidateDecisions
+  // declares the data regime gone (e.g. a catalog swap).
+  return entry.kernel_epoch != GemmKernelEpoch() ||
+         entry.generation !=
+             decision_generation_.load(std::memory_order_relaxed);
 }
 
 StatusOr<std::size_t> MipsEngine::StrategyFor(Index k, Index batch_rows) {
@@ -240,14 +213,9 @@ StatusOr<std::size_t> MipsEngine::StrategyFor(Index k, Index batch_rows) {
     }
     // Unknown key, or a cached winner gone stale: both are misses.
     stats_.decision_cache_misses.fetch_add(1, std::memory_order_relaxed);
-    if (!options_.redecide_on_new_k || solvers_.size() < 2) {
-      // Fall back to the opening decision: still exact, possibly not the
-      // fastest strategy for this k/shape.  (Entries never expire in
-      // this mode — see DecisionExpired — so this is always an unknown
-      // key.)
-      return winner_by_k_.at(OpeningKey()).winner;
-    }
   }
+  // Nothing to decide between: the only candidate serves every key.
+  if (solvers_.size() < 2) return 0;
   // The opening shape and the query's (k, batch shape) diverged, or the
   // cached winner went stale: re-run the sampling decision for this key
   // and cache the winner.  The candidates were all Prepared at Open
@@ -259,7 +227,6 @@ StatusOr<std::size_t> MipsEngine::StrategyFor(Index k, Index batch_rows) {
   // concurrent first-queries of the same new key: one caller measures,
   // the rest (re-checking under the lock) reuse its cached winner.
   WriterMutexLock lock(decision_mu_);
-  bool expired = false;
   bool invalidated = false;
   {
     auto it = winner_by_k_.find(key);
@@ -268,13 +235,7 @@ StatusOr<std::size_t> MipsEngine::StrategyFor(Index k, Index batch_rows) {
       // The stale entry stays in place until the fresh decision below
       // succeeds (InsertDecision replaces it), so a decision failure
       // never leaves the pinned opening decision missing.
-      if (it->second.kernel_epoch != GemmKernelEpoch() ||
-          it->second.generation !=
-              decision_generation_.load(std::memory_order_relaxed)) {
-        invalidated = true;
-      } else {
-        expired = true;
-      }
+      invalidated = true;
     }
   }
   std::vector<MipsSolver*> raw;
@@ -287,9 +248,6 @@ StatusOr<std::size_t> MipsEngine::StrategyFor(Index k, Index batch_rows) {
   MIPS_RETURN_IF_ERROR(
       optimus.DecidePrepared(users_, items_, k, raw, &winner, &report));
   InsertDecision(key, winner);
-  if (expired) {
-    stats_.decision_cache_expirations.fetch_add(1, std::memory_order_relaxed);
-  }
   if (invalidated) {
     stats_.decision_cache_invalidations.fetch_add(1,
                                                   std::memory_order_relaxed);
@@ -432,8 +390,6 @@ MipsEngine::Stats MipsEngine::stats() const {
       stats_.decision_cache_misses.load(std::memory_order_relaxed);
   snapshot.decision_cache_evictions =
       stats_.decision_cache_evictions.load(std::memory_order_relaxed);
-  snapshot.decision_cache_expirations =
-      stats_.decision_cache_expirations.load(std::memory_order_relaxed);
   snapshot.decision_cache_invalidations =
       stats_.decision_cache_invalidations.load(std::memory_order_relaxed);
   snapshot.gemm_kernel = ToString(ActiveGemmKernel());

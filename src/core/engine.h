@@ -9,10 +9,11 @@
 // owns the solvers and the optional thread pool, and then serves:
 //
 //   * TopK(k, user_ids)   — mini-batches of known users at any k.  When
-//     a call's k diverges from the k the decision was made at, the
-//     engine re-runs the (cheap, sampling-based) decision for the new k
-//     and caches the winner — or falls back to the opening winner when
-//     re-deciding is disabled.  Either way every answer stays exact.
+//     a call's k diverges from the k the decision was made at, an
+//     engine with two or more candidates re-runs the (cheap,
+//     sampling-based) decision for the new k and caches the winner; a
+//     single-candidate engine always serves its candidate.  Either way
+//     every answer stays exact.
 //   * TopKNewUsers(...)   — vectors outside the prepared user matrix
 //     (Section III-E): MAXIMUS's dynamic walk when a MAXIMUS-family
 //     strategy is chosen, the fused dense scorer otherwise.
@@ -45,7 +46,6 @@
 #define MIPS_CORE_ENGINE_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -67,7 +67,7 @@ namespace mips {
 /// Configuration for MipsEngine::Open.
 struct EngineOptions {
   /// The k the opening OPTIMUS decision is made at (queries may use any
-  /// k; see redecide_on_new_k).
+  /// k; a new k re-decides when there are two or more candidates).
   Index k = 10;
   /// Candidate strategies as registry specs.  One candidate skips the
   /// decision; two or more run OPTIMUS.
@@ -86,25 +86,6 @@ struct EngineOptions {
   /// the candidate builds, and ThreadPool::Wait from inside a task
   /// deadlocks.
   ThreadPool* shared_pool = nullptr;
-  /// When a query's k has no cached decision: true re-runs the OPTIMUS
-  /// decision at that k (and caches it), false reuses the opening
-  /// winner.  Exactness is unaffected either way.
-  bool redecide_on_new_k = true;
-  /// Upper bound on cached per-k decisions (the opening k is pinned and
-  /// counts toward the bound; it is never evicted).  When a new k's
-  /// decision would exceed the bound, the least-recently-used cached k is
-  /// evicted — a later query at that k re-decides.  Bounds the memory an
-  /// adversarial stream of distinct ks can pin.  0 = unbounded.
-  int decision_cache_capacity = 64;
-  /// Time-to-live for cached per-k winners, in seconds (0 = never
-  /// expire).  Eviction only bounds memory; a TTL bounds STALENESS: a
-  /// winner measured under one load profile (or one installed GEMM
-  /// kernel) expires, and the next query at that k re-runs the sampling
-  /// decision — including the pinned opening k.  Expirations are counted
-  /// in Stats::decision_cache_expirations.  Ignored when re-deciding is
-  /// impossible (redecide_on_new_k = false, or a single candidate):
-  /// expiring an entry that cannot be re-measured would serve nothing.
-  double decision_ttl_seconds = 0;
   /// When true, per-k decisions additionally key on the REALIZED BATCH
   /// SHAPE: a query's row count is bucketed to the next power of two
   /// (capped at kMaxShapeBucket) and each (k, bucket) pair gets
@@ -114,18 +95,10 @@ struct EngineOptions {
   /// amortizes the GEMM's item-panel sweep and may pick BMM where each
   /// singleton picked an index probe.  Off by default — the population-
   /// scale per-k decision (bucket 0) then serves every shape, preserving
-  /// the pre-existing behavior.  Decisions share the LRU/TTL cache
-  /// machinery either way.  BatchingEngine (serve/batching_engine.h)
-  /// turns this on for its backend.
+  /// the pre-existing behavior.  Decisions share the LRU cache either
+  /// way.  Callers that front the engine with a BatchingEngine
+  /// (serve/batching_engine.h) choose whether to set it.
   bool batch_shape_decisions = false;
-  /// Which GEMM micro-kernel the engine's BMM/index GEMMs dispatch to
-  /// (linalg/simd_dispatch.h).  "auto" keeps the process-wide choice
-  /// (MIPS_GEMM_KERNEL env override, else the startup micro-probe);
-  /// "avx512" / "avx2" / "portable" force-install that kernel
-  /// process-wide before the opening decision (Open fails if it is not
-  /// supported on this machine).  The installed kernel is recorded in
-  /// stats() and in the OPTIMUS decision report.
-  std::string gemm_kernel = "auto";
 };
 
 /// A long-lived exact-MIPS serving engine over one (users, items) model.
@@ -137,6 +110,11 @@ class MipsEngine : public TopKBackend {
   /// beyond it share the cap bucket's decision (amortization has
   /// saturated by then).
   static constexpr Index kMaxShapeBucket = 128;
+  /// Upper bound on cached per-(k, shape) decisions.  The opening
+  /// decision is pinned and counts toward the bound; past it the
+  /// least-recently-used entry is evicted, and a later query at its key
+  /// re-decides.  Caps the memory a stream of caller-chosen ks can pin.
+  static constexpr std::size_t kDecisionCacheCapacity = 64;
 
   /// Builds the candidates from their specs, prepares them (in parallel
   /// on the engine pool when threads > 0), and runs the opening OPTIMUS
@@ -174,11 +152,10 @@ class MipsEngine : public TopKBackend {
   /// For an embedding catalog layer this is the "statistics changed"
   /// hook: after an item-set swap, winners measured on the old catalog
   /// no longer describe reality.  Returns the number of decisions cached
-  /// at the bump (how many were retired).  When re-deciding is
-  /// impossible (single candidate, or redecide_on_new_k = false) the
-  /// bump is a no-op on serving — the opening winner keeps serving, and
-  /// exactness is unaffected either way.  Safe to call concurrently with
-  /// queries.
+  /// at the bump (how many were retired).  For a single-candidate
+  /// engine the bump is a no-op on serving — its candidate keeps
+  /// serving, and exactness is unaffected either way.  Safe to call
+  /// concurrently with queries.
   int64_t InvalidateDecisions() override EXCLUDES(decision_mu_);
 
   /// Overrides the optimizer: every subsequent query uses the candidate
@@ -218,22 +195,18 @@ class MipsEngine : public TopKBackend {
     double serve_seconds = 0;
     double redecision_seconds = 0;
     /// Decision-cache accounting: a hit is a query whose k already has a
-    /// cached winner; a miss triggers either a re-decision or the
-    /// opening-winner fallback (redecide_on_new_k = false).  Evictions
-    /// count cached ks dropped to keep the cache within
-    /// decision_cache_capacity; size is the current entry count.
+    /// cached winner; a miss triggers a re-decision (or, with a single
+    /// candidate, serves that candidate).  Evictions count cached ks
+    /// dropped to keep the cache within kDecisionCacheCapacity; size is
+    /// the current entry count.
     int64_t decision_cache_hits = 0;
     int64_t decision_cache_misses = 0;
     int64_t decision_cache_evictions = 0;
-    /// Cached winners dropped because they outlived decision_ttl_seconds
-    /// (each one also counts as a miss for the query that found it
-    /// stale).
-    int64_t decision_cache_expirations = 0;
     /// Cached winners dropped because the GEMM kernel was re-installed
-    /// after they were measured (ForceGemmKernel mid-flight): the
-    /// throughput regime they were decided under no longer exists, so
-    /// the next query re-decides immediately instead of waiting out the
-    /// TTL.  Each one also counts as a miss.
+    /// after they were measured (ForceGemmKernel mid-flight) or
+    /// InvalidateDecisions ran: the regime they were decided under no
+    /// longer exists, so the next query re-decides.  Each one also
+    /// counts as a miss.
     int64_t decision_cache_invalidations = 0;
     int64_t decision_cache_size = 0;
     /// The GEMM micro-kernel installed at snapshot time ("portable",
@@ -262,15 +235,15 @@ class MipsEngine : public TopKBackend {
   /// Index into solvers_ of the strategy serving a k/batch-shape pair
   /// (decides and caches on a miss).  Lock-free-ish hot path: shared
   /// lock on a cache hit, exclusive lock (serializing the decision) on a
-  /// miss, a TTL-expired winner, or a kernel-epoch-invalidated winner.
+  /// miss or an invalidated winner.
   StatusOr<std::size_t> StrategyFor(Index k, Index batch_rows)
       EXCLUDES(decision_mu_);
 
   struct CachedDecision;
-  /// Whether `entry` outlived decision_ttl_seconds or was measured under
-  /// a GEMM kernel that has since been re-installed (always false when
-  /// re-deciding is impossible).  `entry` points into winner_by_k_, so
-  /// the caller must hold decision_mu_ at least shared.
+  /// Whether `entry` was measured under a GEMM kernel that has since
+  /// been re-installed or before an InvalidateDecisions call (always
+  /// false for a single-candidate engine).  `entry` points into
+  /// winner_by_k_, so the caller must hold decision_mu_ at least shared.
   bool DecisionExpired(const CachedDecision& entry) const
       REQUIRES_SHARED(decision_mu_);
 
@@ -305,18 +278,15 @@ class MipsEngine : public TopKBackend {
 
   /// One cached per-(k, shape) decision.  `last_used` is a recency stamp
   /// from decision_clock_, bumped with a relaxed store on every
-  /// (shared-locked) hit; eviction drops the smallest stamp.  `created`
-  /// is the TTL anchor and `kernel_epoch` the GEMM-kernel install count
-  /// the decision was measured under: both written once at insertion
-  /// (under the exclusive lock, so they are safely published to
-  /// shared-lock readers).  Stored in a node-based map so the atomic
-  /// member never needs to move.
+  /// (shared-locked) hit; eviction drops the smallest stamp.
+  /// `kernel_epoch` is the GEMM-kernel install count the decision was
+  /// measured under, written once at insertion (under the exclusive
+  /// lock, so it is safely published to shared-lock readers).  Stored in
+  /// a node-based map so the atomic member never needs to move.
   struct CachedDecision {
-    CachedDecision(std::size_t w, std::chrono::steady_clock::time_point t,
-                   uint64_t epoch, uint64_t gen)
-        : winner(w), created(t), kernel_epoch(epoch), generation(gen) {}
+    CachedDecision(std::size_t w, uint64_t epoch, uint64_t gen)
+        : winner(w), kernel_epoch(epoch), generation(gen) {}
     std::size_t winner;
-    std::chrono::steady_clock::time_point created;
     uint64_t kernel_epoch;
     /// decision_generation_ at insertion; a mismatch at lookup means
     /// InvalidateDecisions ran since and the entry is stale.
@@ -352,7 +322,6 @@ class MipsEngine : public TopKBackend {
     std::atomic<int64_t> decision_cache_hits{0};
     std::atomic<int64_t> decision_cache_misses{0};
     std::atomic<int64_t> decision_cache_evictions{0};
-    std::atomic<int64_t> decision_cache_expirations{0};
     std::atomic<int64_t> decision_cache_invalidations{0};
   };
   AtomicStats stats_;

@@ -18,12 +18,12 @@
 //      packed-panel workload (a few ms, once per process) and installs
 //      the fastest.
 //
-// ForceGemmKernel() (EngineOptions::gemm_kernel goes through it)
-// overrides both.  The installed kernel is process-global and published
-// through an atomic function pointer, so installation may happen
-// concurrently with running GEMMs; because every variant computes each C
-// element with the identical IEEE operation sequence (gemm_kernel.h),
-// results are bit-for-bit the same whichever variant a call observes.
+// ForceGemmKernel() overrides both.  The installed kernel is
+// process-global and published through an atomic function pointer, so
+// installation may happen concurrently with running GEMMs; because
+// every variant computes each C element with the identical IEEE
+// operation sequence (gemm_kernel.h), results are bit-for-bit the same
+// whichever variant a call observes.
 //
 // MipsEngine::stats().gemm_kernel and OptimusReport::gemm_kernel record
 // the installed kernel so serving decisions stay attributable to the
@@ -49,9 +49,8 @@ inline constexpr int kNumGemmKernels = 3;
 /// "portable", "avx2", "avx512".
 const char* ToString(GemmKernel kernel);
 
-/// Parses a kernel name as accepted by MIPS_GEMM_KERNEL and
-/// EngineOptions::gemm_kernel ("auto" is handled by the callers, not
-/// here).  InvalidArgument on unknown names.
+/// Parses a kernel name as accepted by MIPS_GEMM_KERNEL ("auto" is
+/// handled by the callers, not here).  InvalidArgument on unknown names.
 StatusOr<GemmKernel> ParseGemmKernel(std::string_view name);
 
 /// Whether `kernel` can run here: its real body was compiled in AND the

@@ -21,8 +21,9 @@
 //     everything past (S-1)*B.  Under kContiguous every append re-splits
 //     the range and moves rows between all shards; under kGrowth with a
 //     pinned B, appends land only in the newest shard, so a growing
-//     catalog (catalog/live_catalog.h) re-partitions without disturbing
-//     the prefix shards' item sets.  Zero-copy views, like kContiguous.
+//     catalog re-partitions without disturbing the prefix shards' item
+//     sets.  (LiveCatalog does not pin B: each epoch derives it from its
+//     own item count.)  Zero-copy views, like kContiguous.
 //
 // Every item lives in exactly one shard, so per-shard exact top-K merged
 // across shards (topk/merge.h) reproduces the unsharded answer.

@@ -23,7 +23,7 @@ StatusOr<std::unique_ptr<ShardedMipsEngine>> ShardedMipsEngine::Open(
   engine->users_ = users;
   engine->options_ = options;
   auto partition = ItemPartition::Create(
-      items, options.num_shards, options.sharding, options.growth_block);
+      items, options.num_shards, options.sharding);
   MIPS_RETURN_IF_ERROR(partition.status());
   engine->partition_ = std::move(*partition);
   if (options.threads > 0) {
@@ -205,15 +205,6 @@ ShardedMipsEngine::Stats ShardedMipsEngine::stats() const {
     shard.strategy = engine->strategy();
     shard.opening_choice = engine->decision_report().chosen;
     shard.stats = engine->stats();
-    snapshot.redecisions += shard.stats.redecisions;
-    snapshot.decision_cache_hits += shard.stats.decision_cache_hits;
-    snapshot.decision_cache_misses += shard.stats.decision_cache_misses;
-    snapshot.decision_cache_evictions += shard.stats.decision_cache_evictions;
-    snapshot.decision_cache_expirations +=
-        shard.stats.decision_cache_expirations;
-    snapshot.decision_cache_invalidations +=
-        shard.stats.decision_cache_invalidations;
-    snapshot.gemm_kernel = shard.stats.gemm_kernel;  // process-global
   }
   return snapshot;
 }

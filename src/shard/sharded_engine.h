@@ -71,11 +71,8 @@ struct ShardedEngineOptions {
   int num_shards = 2;
   /// Item placement policy (see shard/partition.h).
   ShardingStrategy sharding = ShardingStrategy::kContiguous;
-  /// Pinned block size for kGrowth placement (0 = derive from the item
-  /// count at Open); ignored by the other strategies.
-  Index growth_block = 0;
   /// Per-shard engine configuration (decision k, candidate specs,
-  /// optimus knobs, redecide/cache policy).  `threads` and `shared_pool`
+  /// optimus knobs, shape-keyed decisions).  `threads` and `shared_pool`
   /// are overridden: every shard runs on the sharded engine's own pool.
   EngineOptions engine;
   /// Worker threads in the pool shared by all shard engines
@@ -144,7 +141,7 @@ class ShardedMipsEngine : public TopKBackend {
   Index num_items() const override { return partition_.num_items(); }
   Index num_factors() const override { return users_.cols(); }
 
-  /// Aggregate + per-shard serving statistics.
+  /// Scatter/gather + per-shard serving statistics.
   struct ShardSnapshot {
     Index num_items = 0;
     /// Strategy serving the shard's decision k right now ("" if empty).
@@ -160,16 +157,7 @@ class ShardedMipsEngine : public TopKBackend {
     int64_t new_users_served = 0;
     /// End-to-end scatter + gather + merge time.
     double serve_seconds = 0;
-    /// Sums over shards (each shard's own counters are in `shards`).
-    int64_t redecisions = 0;
-    int64_t decision_cache_hits = 0;
-    int64_t decision_cache_misses = 0;
-    int64_t decision_cache_evictions = 0;
-    int64_t decision_cache_expirations = 0;
-    int64_t decision_cache_invalidations = 0;
-    /// The process-global GEMM micro-kernel every shard's GEMMs dispatch
-    /// to ("" when every shard is empty).
-    std::string gemm_kernel;
+    /// Each shard's own decision counters; readers sum over these.
     std::vector<ShardSnapshot> shards;
   };
   Stats stats() const EXCLUDES(stats_mu_);

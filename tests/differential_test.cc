@@ -199,7 +199,6 @@ TEST(DifferentialServingTest, EngineExactOnRandomBatches) {
     EngineOptions options;
     options.k = workload.k;
     options.optimus.l2_cache_bytes = 4 * 1024;
-    options.redecide_on_new_k = false;
     auto engine = MipsEngine::Open(ConstRowBlock(model.users),
                                    ConstRowBlock(model.items), options);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();

@@ -148,7 +148,6 @@ TEST(BatchShapeDecisionsTest, EachShapeBucketDecidesOnce) {
   options.k = 5;
   options.solvers = {"bmm", "lemp"};
   options.batch_shape_decisions = true;
-  options.redecide_on_new_k = true;
   auto engine = MipsEngine::Open(ConstRowBlock(model.users), ConstRowBlock(model.items),
                                  options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
