@@ -74,8 +74,8 @@ int main() {
 
   // --- 4. A new user arrives after the decision (Section III-E). ---
   // The engine serves them exactly whatever strategy won: MAXIMUS's
-  // dynamic-user walk when an index is bound, a dense scoring row
-  // otherwise.  No re-clustering, no concrete types.
+  // new-user walk from the nearest centroid when an index is bound, a
+  // dense scoring row otherwise.  No re-clustering, no concrete types.
   Rng rng(99);
   std::vector<Real> new_user(16);
   for (auto& v : new_user) v = static_cast<Real>(rng.Normal(0.0, 0.3));

@@ -288,7 +288,8 @@ Status LiveCatalog::Query(Index k, std::span<const Index> user_ids,
     MIPS_RETURN_IF_ERROR(
         !user_ids.empty()
             ? epoch->backend->TopK(k_base, user_ids, &raw)
-            : epoch->backend->TopKNewUsers(vectors, num_rows, k_base, &raw));
+            : ServeNewUsersOn(*epoch->backend, vectors, num_rows, k_base,
+                              &raw));
     for (Index q = 0; q < num_rows; ++q) {
       const TopKEntry* in = raw.Row(q);
       TopKEntry* dst = &base_rows[static_cast<std::size_t>(q) *
@@ -336,9 +337,8 @@ Status LiveCatalog::TopK(Index k, std::span<const Index> user_ids,
   return Query(k, user_ids, gathered.data(), num_rows, out);
 }
 
-Status LiveCatalog::TopKNewUsers(const Real* user_vectors, Index num_rows,
-                                 Index k, TopKResult* out) {
-  MIPS_RETURN_IF_ERROR(CheckNewUsers(user_vectors, num_rows, k));
+Status LiveCatalog::ServeNewUsers(const Real* user_vectors, Index num_rows,
+                                  Index k, TopKResult* out) {
   return Query(k, {}, user_vectors, num_rows, out);
 }
 

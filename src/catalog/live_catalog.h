@@ -147,11 +147,6 @@ class LiveCatalog : public TopKBackend {
   /// blocks on a rebuild.
   Status TopK(Index k, std::span<const Index> user_ids,
               TopKResult* out) override EXCLUDES(state_mu_);
-  /// Exact top-K for `num_rows` new-user vectors (row-major).  Row r
-  /// depends only on input row r, so a serving layer may coalesce
-  /// batches across epoch swaps without changing any answer.
-  Status TopKNewUsers(const Real* user_vectors, Index num_rows, Index k,
-                      TopKResult* out) override EXCLUDES(state_mu_);
 
   /// Retires the current epoch engine's cached decisions.
   int64_t InvalidateDecisions() override EXCLUDES(state_mu_);
@@ -216,6 +211,14 @@ class LiveCatalog : public TopKBackend {
   Stats stats() const EXCLUDES(state_mu_, rebuild_mu_);
 
  private:
+  /// TopKNewUsers after its checks: exact top-K for `num_rows` new-user
+  /// vectors (row-major); the epoch engine is served through its
+  /// unchecked entry.  Row r depends only on input row r, so a serving
+  /// layer may coalesce batches across epoch swaps without changing any
+  /// answer.
+  Status ServeNewUsers(const Real* user_vectors, Index num_rows, Index k,
+                       TopKResult* out) override EXCLUDES(state_mu_);
+
   /// One mutation layer.  `data` holds num_rows() row-major vectors;
   /// ids[row] is the row's catalog id (-1 = tombstoned in place).  `dead`
   /// masks every OLDER layer's version of an id (update supersedes,

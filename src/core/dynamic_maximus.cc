@@ -72,22 +72,11 @@ StatusOr<Index> DynamicMaximus::AddUser(const Real* vector) {
 
 Status DynamicMaximus::TopKForUser(Index user_id, Index k,
                                    TopKEntry* out_row) const {
-  if (index_ == nullptr) {
-    return Status::FailedPrecondition("Initialize was not called");
-  }
-  if (user_id < 0 || user_id >= count_) {
-    return Status::OutOfRange("unknown user id");
-  }
-  if (user_id < indexed_count_) {
-    // First-class index member: the static fast path.
-    TopKResult one;
-    MIPS_RETURN_IF_ERROR(index_->TopKForUsers(
-        k, std::span<const Index>(&user_id, 1), &one));
-    std::copy_n(one.Row(0), k, out_row);
-    return Status::OK();
-  }
-  // Appended since the last build: exact dynamic walk.
-  return index_->QueryDynamicUser(users_.Row(user_id), k, out_row);
+  TopKResult one;
+  MIPS_RETURN_IF_ERROR(
+      TopKForUsers(k, std::span<const Index>(&user_id, 1), &one));
+  std::copy_n(one.Row(0), k, out_row);
+  return Status::OK();
 }
 
 Status DynamicMaximus::TopKForUsers(Index k, std::span<const Index> user_ids,
@@ -97,10 +86,11 @@ Status DynamicMaximus::TopKForUsers(Index k, std::span<const Index> user_ids,
   }
   const Index q = static_cast<Index>(user_ids.size());
   *out = TopKResult(q, k);
-  // Indexed members batch through the inner index; pending users take
-  // the exact dynamic walk.
+  // Indexed members batch through the inner index; pending users are
+  // gathered into one new-user batch.
   std::vector<Index> indexed_ids;
   std::vector<Index> indexed_rows;
+  std::vector<Index> pending_rows;
   for (Index r = 0; r < q; ++r) {
     const Index id = user_ids[static_cast<std::size_t>(r)];
     if (id < 0 || id >= count_) {
@@ -110,8 +100,7 @@ Status DynamicMaximus::TopKForUsers(Index k, std::span<const Index> user_ids,
       indexed_ids.push_back(id);
       indexed_rows.push_back(r);
     } else {
-      MIPS_RETURN_IF_ERROR(
-          index_->QueryDynamicUser(users_.Row(id), k, out->Row(r)));
+      pending_rows.push_back(r);
     }
   }
   if (!indexed_ids.empty()) {
@@ -119,6 +108,22 @@ Status DynamicMaximus::TopKForUsers(Index k, std::span<const Index> user_ids,
     MIPS_RETURN_IF_ERROR(index_->TopKForUsers(k, indexed_ids, &batch));
     for (std::size_t i = 0; i < indexed_rows.size(); ++i) {
       out->CopyRowFrom(batch, static_cast<Index>(i), indexed_rows[i]);
+    }
+  }
+  if (!pending_rows.empty()) {
+    const Index f = users_.cols();
+    Matrix pending(static_cast<Index>(pending_rows.size()), f);
+    for (std::size_t i = 0; i < pending_rows.size(); ++i) {
+      std::memcpy(pending.Row(static_cast<Index>(i)),
+                  users_.Row(user_ids[static_cast<std::size_t>(
+                      pending_rows[i])]),
+                  static_cast<std::size_t>(f) * sizeof(Real));
+    }
+    TopKResult batch;
+    MIPS_RETURN_IF_ERROR(
+        index_->TopKForNewUsers(pending.data(), pending.rows(), k, &batch));
+    for (std::size_t i = 0; i < pending_rows.size(); ++i) {
+      out->CopyRowFrom(batch, static_cast<Index>(i), pending_rows[i]);
     }
   }
   return Status::OK();
@@ -129,7 +134,8 @@ Status DynamicMaximus::TopKAll(Index k, TopKResult* out) {
     return Status::FailedPrecondition("Initialize was not called");
   }
   *out = TopKResult(count_, k);
-  // Indexed users in one batch; pending users via the dynamic walk.
+  // Indexed users in one batch; pending users (rows [indexed_count_,
+  // count_) of the user storage) in one new-user batch.
   std::vector<Index> indexed(static_cast<std::size_t>(indexed_count_));
   std::iota(indexed.begin(), indexed.end(), 0);
   TopKResult batch;
@@ -137,9 +143,11 @@ Status DynamicMaximus::TopKAll(Index k, TopKResult* out) {
   for (Index u = 0; u < indexed_count_; ++u) {
     out->CopyRowFrom(batch, u, u);
   }
+  if (pending_users() == 0) return Status::OK();
+  MIPS_RETURN_IF_ERROR(index_->TopKForNewUsers(
+      users_.Row(indexed_count_), pending_users(), k, &batch));
   for (Index u = indexed_count_; u < count_; ++u) {
-    MIPS_RETURN_IF_ERROR(
-        index_->QueryDynamicUser(users_.Row(u), k, out->Row(u)));
+    out->CopyRowFrom(batch, u - indexed_count_, u);
   }
   return Status::OK();
 }
@@ -164,12 +172,13 @@ Status DynamicMaximusSolver::TopKForUsers(Index k,
   return dynamic_.TopKForUsers(k, user_ids, out);
 }
 
-Status DynamicMaximusSolver::QueryNewUser(const Real* user, Index k,
-                                          TopKEntry* out_row) const {
+Status DynamicMaximusSolver::TopKForNewUsers(const Real* vectors,
+                                             Index num_rows, Index k,
+                                             TopKResult* out) const {
   if (prepared_users_ == 0) {
     return Status::FailedPrecondition("Prepare was not called");
   }
-  return dynamic_.index().QueryDynamicUser(user, k, out_row);
+  return dynamic_.index().TopKForNewUsers(vectors, num_rows, k, out);
 }
 
 namespace {

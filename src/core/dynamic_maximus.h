@@ -6,12 +6,13 @@
 // to update the centroids is an interesting research question, which we
 // leave as future work."  DynamicMaximus implements the obvious policy:
 //
-//   * AddUser() appends the vector and serves it through the dynamic-user
-//     walk (exact, with the Lipschitz bound-widening slack).
+//   * AddUser() appends the vector; until the next rebuild it is served
+//     as a new user (MaximusSolver::TopKForNewUsers: the members' blocked
+//     walk, exact with the Lipschitz bound-widening slack).
 //   * When accumulated churn exceeds `recluster_churn_fraction` of the
 //     indexed population, the index is rebuilt over ALL users — new users
-//     become first-class members, theta_b re-tightens, and their queries
-//     return to the fast static path.
+//     become first-class members, theta_b re-tightens, and their slack
+//     drops to zero.
 //
 // Every query remains exact at every point in this lifecycle; what churn
 // degrades (and re-clustering restores) is pruning efficiency, which the
@@ -53,8 +54,8 @@ class DynamicMaximus {
   Status TopKForUser(Index user_id, Index k, TopKEntry* out_row) const;
 
   /// Batch exact top-K for a mix of indexed and pending user ids:
-  /// indexed members go through the inner index's blocked path in one
-  /// call, pending users fall back to the dynamic walk.
+  /// indexed members go through the inner index's TopKForUsers in one
+  /// call, pending users through its TopKForNewUsers in another.
   Status TopKForUsers(Index k, std::span<const Index> user_ids,
                       TopKResult* out) const;
 
@@ -106,9 +107,10 @@ class DynamicMaximusSolver : public MipsSolver {
   Status TopKForUsers(Index k, std::span<const Index> user_ids,
                       TopKResult* out) override;
 
-  /// Exact top-K for a vector outside the indexed population
-  /// (Section III-E dynamic walk on the inner index).
-  Status QueryNewUser(const Real* user, Index k, TopKEntry* out_row) const;
+  /// Exact top-K for `num_rows` vectors outside the indexed population,
+  /// row-major: MaximusSolver::TopKForNewUsers on the inner index.
+  Status TopKForNewUsers(const Real* vectors, Index num_rows, Index k,
+                         TopKResult* out) const;
 
   DynamicMaximus& dynamic() { return dynamic_; }
   const DynamicMaximus& dynamic() const { return dynamic_; }

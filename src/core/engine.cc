@@ -289,6 +289,7 @@ Status MipsEngine::DenseScoreNewUsers(const Real* user_vectors,
                                       Index num_rows, Index k,
                                       TopKResult* out) {
   const Index f = items_.cols();
+  *out = TopKResult(num_rows, k);
   std::vector<const Real*> rows(static_cast<std::size_t>(num_rows));
   for (Index r = 0; r < num_rows; ++r) {
     rows[static_cast<std::size_t>(r)] =
@@ -298,27 +299,21 @@ Status MipsEngine::DenseScoreNewUsers(const Real* user_vectors,
   return Status::OK();
 }
 
-Status MipsEngine::TopKNewUsers(const Real* user_vectors, Index num_rows,
-                                Index k, TopKResult* out) {
-  MIPS_RETURN_IF_ERROR(CheckNewUsers(user_vectors, num_rows, k));
+Status MipsEngine::ServeNewUsers(const Real* user_vectors, Index num_rows,
+                                 Index k, TopKResult* out) {
   auto strategy = StrategyFor(k, num_rows);
   MIPS_RETURN_IF_ERROR(strategy.status());
   MipsSolver* solver = solvers_[*strategy].get();
   WallTimer timer;
-  *out = TopKResult(num_rows, k);
-  const Index f = items_.cols();
-  if (auto* maximus = dynamic_cast<MaximusSolver*>(solver)) {
-    // Exact dynamic-user walk (Section III-E), one probe per row: the
-    // decision said index probes beat a GEMM at this batch shape.
-    for (Index r = 0; r < num_rows; ++r) {
-      MIPS_RETURN_IF_ERROR(maximus->QueryDynamicUser(
-          user_vectors + static_cast<std::size_t>(r) * f, k, out->Row(r)));
-    }
-  } else if (auto* dynamic = dynamic_cast<DynamicMaximusSolver*>(solver)) {
-    for (Index r = 0; r < num_rows; ++r) {
-      MIPS_RETURN_IF_ERROR(dynamic->QueryNewUser(
-          user_vectors + static_cast<std::size_t>(r) * f, k, out->Row(r)));
-    }
+  if (const auto* maximus = dynamic_cast<const MaximusSolver*>(solver)) {
+    // Exact dynamic-user walk (Section III-E) over the whole batch: rows
+    // grouped by nearest centroid share the blocked GEMM walk.
+    MIPS_RETURN_IF_ERROR(
+        maximus->TopKForNewUsers(user_vectors, num_rows, k, out));
+  } else if (const auto* dynamic =
+                 dynamic_cast<const DynamicMaximusSolver*>(solver)) {
+    MIPS_RETURN_IF_ERROR(
+        dynamic->TopKForNewUsers(user_vectors, num_rows, k, out));
   } else {
     // Every other strategy scores new users densely (their index
     // structures are keyed to the prepared user matrix): one blocked

@@ -15,10 +15,12 @@
 //     single-candidate engine always serves its candidate.  Either way
 //     every answer stays exact.
 //   * TopKNewUsers(...)   — vectors outside the prepared user matrix
-//     (Section III-E): MAXIMUS's dynamic walk when a MAXIMUS-family
-//     strategy is chosen, the fused dense scorer otherwise.
+//     (Section III-E): when a MAXIMUS-family strategy is chosen, the
+//     whole batch in one MaximusSolver::TopKForNewUsers call (rows
+//     grouped by nearest centroid share its blocked GEMM walk); the
+//     fused dense scorer otherwise.
 //
-// TopKAll, TopKNewUser and the argument checks come from TopKBackend.
+// TopKAll, TopKNewUser(s) and the argument checks come from TopKBackend.
 // ForceStrategy() overrides the optimizer by candidate name (benches,
 // lesion studies, operator escape hatch); stats() snapshots cumulative
 // serving counters.
@@ -129,20 +131,6 @@ class MipsEngine : public TopKBackend {
   /// concurrent callers.
   Status TopK(Index k, std::span<const Index> user_ids,
               TopKResult* out) override;
-
-  /// Exact top-K for a mini-batch of `num_rows` new-user vectors, stored
-  /// contiguously row-major (num_rows x num_factors) at `user_vectors`.
-  /// This is the serve-side coalescing path (serve/batching_engine.h):
-  /// when the serving strategy is MAXIMUS-family each row runs the exact
-  /// dynamic-user walk; otherwise the whole batch is scored with one
-  /// blocked GEMM against the item matrix — the batching win the paper's
-  /// Clipper-style setting exists to exploit.  Row r of *out depends only
-  /// on row r of the input (the GEMM accumulates each score over the
-  /// factor axis in a fixed order independent of the batch's row count),
-  /// so results are bit-for-bit identical whether a vector is served
-  /// alone or coalesced into any batch.  Safe for concurrent callers.
-  Status TopKNewUsers(const Real* user_vectors, Index num_rows, Index k,
-                      TopKResult* out) override;
 
   /// Logically drops every cached per-(k, shape) decision by bumping the
   /// engine's decision generation — the same lazily-checked idiom as the
@@ -257,6 +245,22 @@ class MipsEngine : public TopKBackend {
   /// structures).
   Status DenseScoreNewUsers(const Real* user_vectors, Index num_rows,
                             Index k, TopKResult* out);
+
+  /// TopKNewUsers after its checks: exact top-K for a mini-batch of
+  /// `num_rows` new-user vectors, row-major at `user_vectors`.  This is
+  /// the serve-side coalescing path (serve/batching_engine.h).  A
+  /// MAXIMUS-family strategy serves the whole batch with one
+  /// TopKForNewUsers call, so a coalesced batch shares its clusters'
+  /// blocked GEMMs and spreads over the engine pool; any other strategy
+  /// scores it with the fused dense scorer — the batching win the
+  /// paper's Clipper-style setting exists to exploit.  Row r of *out
+  /// depends only on row r of the input (every GEMM accumulates each
+  /// score over the factor axis in a fixed order independent of the
+  /// batch's row count, and each row prunes on its own heap), so results
+  /// are bit-for-bit identical whether a vector is served alone or
+  /// coalesced into any batch.  Safe for concurrent callers.
+  Status ServeNewUsers(const Real* user_vectors, Index num_rows, Index k,
+                       TopKResult* out) override;
 
   /// The pool serving this engine: the shared external pool when one was
   /// injected, else the engine-owned pool (null = single-threaded).

@@ -13,10 +13,17 @@
 // so they are directly comparable to the scale-free bound; final results
 // are rescaled by ||u|| (ordering is scale-invariant).
 //
-// Hardware-efficient item blocking (Section III-D): the first B items of
-// each cluster list are scored for all queried cluster members with one
-// blocked GEMM, sharing work across users; the walk only falls back to
-// scalar dots past position B.
+// Hardware-efficient item blocking (Section III-D): each cluster list is
+// scored in B-item segments, one blocked GEMM per segment over a tile of
+// up to 128 queried rows of that cluster still walking, so the work is
+// shared across users.  The first segment's items are gathered at
+// construction.
+//
+// New users (Section III-E) take the same walk: TopKForNewUsers assigns
+// each row to its nearest centroid, groups the rows by cluster, and
+// widens each row's bounds by its Lipschitz slack
+// max_item_norm * max(0, theta_uc - theta_b), so a row outside the
+// cluster cone still stops exactly.  Members walk with slack 0.
 
 #ifndef MIPS_CORE_MAXIMUS_H_
 #define MIPS_CORE_MAXIMUS_H_
@@ -86,13 +93,22 @@ class MaximusSolver : public MipsSolver {
   /// Assigns an unseen user vector to its nearest centroid and returns the
   /// cluster id — the Section III-E dynamic-user path.  The bound remains
   /// valid for the new user only if its angle to the centroid is <=
-  /// theta_b; QueryDynamicUser handles the general case by widening the
+  /// theta_b; TopKForNewUsers handles the general case by widening the
   /// effective bound with the user's own angle.
   Index AssignNewUser(const Real* user) const;
 
-  /// Exact top-K for a user vector that was not part of Prepare's user
-  /// set.  Walks the assigned cluster's list with the user-specific
-  /// Equation-2 bound (theta_uc in place of theta_b when larger).
+  /// Exact top-K for `num_rows` user vectors that were not part of
+  /// Prepare's user set, stored row-major (num_rows x f).  Rows are
+  /// grouped by assigned cluster and walked with TopKForUsers' blocked
+  /// GEMM walk, each row's bounds widened by its slack (file comment).
+  /// Row r of *out depends only on row r, bit for bit, so a vector gets
+  /// the same answer alone or in any batch.  A call under about 2^20
+  /// multiply-adds runs on the caller; a larger one spreads its rows over
+  /// the thread pool.
+  Status TopKForNewUsers(const Real* vectors, Index num_rows, Index k,
+                         TopKResult* out) const;
+
+  /// One-row TopKForNewUsers; `out_row` must hold k entries.
   Status QueryDynamicUser(const Real* user, Index k, TopKEntry* out_row) const;
 
  private:
@@ -102,6 +118,30 @@ class MaximusSolver : public MipsSolver {
     Matrix block;                  // first min(B, n) item vectors, gathered
   };
 
+  /// One query row as the walk sees it: its vector, its cluster, and the
+  /// amount its bounds are widened by.
+  struct WalkRow {
+    const Real* vector;
+    Index cluster;
+    Real slack;
+  };
+  struct WalkScratch;
+
+  /// Exact top-K of rows [0, q) into *out, where locate(r) gives row r.
+  /// Splits the rows over `pool`, groups each chunk by cluster, and walks
+  /// each group in tiles with WalkList.  Returns the list positions
+  /// visited.
+  template <typename Locate>
+  int64_t Walk(Index q, Index k, ThreadPool* pool, const Locate& locate,
+               TopKResult* out) const;
+
+  /// Walks `list` for the first `m` rows of the scratch tile (unit-norm
+  /// rows, their slacks and heaps).  Row r stops at the first position
+  /// whose bound plus slack[r] falls strictly below its heap minimum.
+  /// Returns the positions visited.
+  int64_t WalkList(const ClusterList& list, Index m,
+                   WalkScratch* scratch) const;
+
   MaximusOptions options_;
   ConstRowBlock users_;
   ConstRowBlock items_;
@@ -109,7 +149,8 @@ class MaximusSolver : public MipsSolver {
   Clustering clustering_;
   std::vector<Real> theta_b_;
   std::vector<ClusterList> lists_;
-  std::vector<Real> item_norms_;
+  /// Largest item norm: the Lipschitz constant of the bounds in theta.
+  Real max_item_norm_ = 0;
 
   mutable std::atomic<double> mean_items_visited_{0};
 };

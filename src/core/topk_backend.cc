@@ -23,6 +23,12 @@ Status TopKBackend::TopKAll(Index k, TopKResult* out) {
   return TopK(k, ids, out);
 }
 
+Status TopKBackend::TopKNewUsers(const Real* user_vectors, Index num_rows,
+                                 Index k, TopKResult* out) {
+  MIPS_RETURN_IF_ERROR(CheckNewUsers(user_vectors, num_rows, k));
+  return ServeNewUsers(user_vectors, num_rows, k, out);
+}
+
 Status TopKBackend::TopKNewUser(const Real* user_vector, Index k,
                                 TopKEntry* out_row) {
   TopKResult one;

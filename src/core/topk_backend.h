@@ -6,17 +6,21 @@
 // engine plus the write buffer's side scan) all answer the same two
 // questions — top-K for known users, and top-K for a batch of vectors
 // outside the user matrix (Section III-E) — under the same exactness
-// contract and argument rules.  Each implements the two virtual queries;
+// contract and argument rules.  Each implements TopK and ServeNewUsers;
 // the base writes the rest once:
 //
 //   * TopKAll is TopK over every prepared user.
+//   * TopKNewUsers runs CheckNewUsers, then ServeNewUsers.  A layer over
+//     inner backends (shards, an epoch engine) serves through their
+//     ServeNewUsers via ServeNewUsersOn, so a batch is checked once, at
+//     the outermost layer, not once per layer.
 //   * TopKNewUser is the one-row case of TopKNewUsers, so a singleton
 //     answer is bit-for-bit the row a coalesced batch would produce.
-//   * CheckKnownUsers / CheckNewUsers are the argument checks every
-//     implementation runs first: k > 0, user ids in range, and new-user
-//     vectors non-null and finite.  A NaN or infinite coordinate has no
-//     place in the BetterEntry order, so it fails with InvalidArgument
-//     instead of returning solver-dependent rows.
+//   * CheckKnownUsers / CheckNewUsers are the argument checks: k > 0,
+//     user ids in range, and new-user vectors non-null and finite.
+//     TopK implementations run CheckKnownUsers first.  A NaN or infinite
+//     coordinate has no place in the BetterEntry order, so it fails with
+//     InvalidArgument instead of returning solver-dependent rows.
 //
 // Front ends take a TopKBackend* and never need to know which layer
 // serves (the CLI's serve block, a BatchingEngine backend lambda, a
@@ -56,9 +60,10 @@ class TopKBackend {
   /// Exact top-K for `num_rows` vectors outside the user matrix, stored
   /// row-major (num_rows x num_factors()).  Row r of *out depends only
   /// on input row r, so a serving layer may coalesce rows from many
-  /// callers without changing any answer.
-  virtual Status TopKNewUsers(const Real* user_vectors, Index num_rows,
-                              Index k, TopKResult* out) = 0;
+  /// callers without changing any answer.  CheckNewUsers, then
+  /// ServeNewUsers.
+  Status TopKNewUsers(const Real* user_vectors, Index num_rows, Index k,
+                      TopKResult* out);
 
   /// Retires every cached strategy decision (the "statistics changed"
   /// hook); returns how many were cached.  Exactness is unaffected.
@@ -88,6 +93,17 @@ class TopKBackend {
   /// finite.
   Status CheckNewUsers(const Real* user_vectors, Index num_rows,
                        Index k) const;
+
+  /// TopKNewUsers on a batch that has passed CheckNewUsers.
+  virtual Status ServeNewUsers(const Real* user_vectors, Index num_rows,
+                               Index k, TopKResult* out) = 0;
+
+  /// `inner`'s ServeNewUsers, for a layer that has already checked the
+  /// batch (k may differ from the checked one but stays positive).
+  static Status ServeNewUsersOn(TopKBackend& inner, const Real* user_vectors,
+                                Index num_rows, Index k, TopKResult* out) {
+    return inner.ServeNewUsers(user_vectors, num_rows, k, out);
+  }
 };
 
 }  // namespace mips

@@ -114,17 +114,16 @@ Status ShardedMipsEngine::TopK(Index k, std::span<const Index> user_ids,
   return Status::OK();
 }
 
-Status ShardedMipsEngine::TopKNewUsers(const Real* user_vectors,
-                                       Index num_rows, Index k,
-                                       TopKResult* out) {
-  MIPS_RETURN_IF_ERROR(CheckNewUsers(user_vectors, num_rows, k));
+Status ShardedMipsEngine::ServeNewUsers(const Real* user_vectors,
+                                        Index num_rows, Index k,
+                                        TopKResult* out) {
   WallTimer timer;
   // Each shard answers the whole batch at once (its own strategy
   // decision is keyed on this batch shape).
   MIPS_RETURN_IF_ERROR(ScatterGather(
       k,
       [&](MipsEngine& engine, TopKResult* partial) {
-        return engine.TopKNewUsers(user_vectors, num_rows, k, partial);
+        return ServeNewUsersOn(engine, user_vectors, num_rows, k, partial);
       },
       out));
   MutexLock lock(stats_mu_);

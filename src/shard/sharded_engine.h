@@ -97,16 +97,6 @@ class ShardedMipsEngine : public TopKBackend {
   Status TopK(Index k, std::span<const Index> user_ids,
               TopKResult* out) override EXCLUDES(stats_mu_);
 
-  /// Exact global top-K for a mini-batch of new-user vectors
-  /// (`num_rows` x num_factors(), row-major): scatter the whole batch to
-  /// every shard's batched new-user path, remap, k-way merge.  Each row of
-  /// *out is bit-for-bit what TopKNewUser returns for that vector alone —
-  /// the per-shard GEMM computes each (row, item) score independently of
-  /// the other batch rows — which is what lets a serving layer coalesce
-  /// singleton traffic without changing any answer.
-  Status TopKNewUsers(const Real* user_vectors, Index num_rows, Index k,
-                      TopKResult* out) override EXCLUDES(stats_mu_);
-
   /// Forces every shard onto the candidate named by solver name or exact
   /// opening spec.  All shards share the same candidate list, so this
   /// either applies everywhere or fails everywhere (NotFound).
@@ -163,6 +153,17 @@ class ShardedMipsEngine : public TopKBackend {
   Stats stats() const EXCLUDES(stats_mu_);
 
  private:
+  /// TopKNewUsers after its checks: exact global top-K for a mini-batch
+  /// of new-user vectors (`num_rows` x num_factors(), row-major).  The
+  /// whole batch goes to every shard's unchecked new-user path, then
+  /// remap and k-way merge.  Each row of *out is bit-for-bit what
+  /// TopKNewUser returns for that vector alone — each shard computes a
+  /// row's answer independently of the other batch rows — which is what
+  /// lets a serving layer coalesce singleton traffic without changing
+  /// any answer.
+  Status ServeNewUsers(const Real* user_vectors, Index num_rows, Index k,
+                       TopKResult* out) override EXCLUDES(stats_mu_);
+
   ShardedMipsEngine() = default;
 
   /// Runs `query(engine, &partial)` on every non-empty shard, remaps each

@@ -125,6 +125,54 @@ TEST(DynamicMaximusTest, ReclusterRestoresPruning) {
   }
 }
 
+TEST(DynamicMaximusTest, PendingUsersServedAsOneBatch) {
+  // TopKAll and a mixed-id TopKForUsers serve their pending users as one
+  // new-user batch each; every row must equal the one-user answer bit for
+  // bit and the direct scan within rounding.
+  const MFModel model = MakeTestModel(200, 300, 8, 9, 0.6, 0.3);
+  const MFModel churn = MakeTestModel(40, 300, 8, 10, 0.6, 1.0);
+  DynamicMaximusOptions options;
+  options.recluster_churn_fraction = 0;  // keep every added user pending
+  DynamicMaximus dynamic(options);
+  ASSERT_TRUE(dynamic.Initialize(ConstRowBlock(model.users),
+                                 ConstRowBlock(model.items)).ok());
+  for (Index u = 0; u < 40; ++u) {
+    ASSERT_TRUE(dynamic.AddUser(churn.users.Row(u)).ok());
+  }
+  ASSERT_EQ(dynamic.pending_users(), 40);
+
+  const Index k = 4;
+  TopKResult all;
+  ASSERT_TRUE(dynamic.TopKAll(k, &all).ok());
+  std::vector<TopKEntry> row(static_cast<std::size_t>(k));
+  for (Index u = 0; u < 240; ++u) {
+    ASSERT_TRUE(dynamic.TopKForUser(u, k, row.data()).ok());
+    const Real* vec = u < 200 ? model.users.Row(u) : churn.users.Row(u - 200);
+    const auto expected = DirectTopK(vec, model.items, k);
+    for (Index e = 0; e < k; ++e) {
+      EXPECT_EQ(all.Row(u)[e].item, row[static_cast<std::size_t>(e)].item)
+          << "user " << u << " entry " << e;
+      EXPECT_EQ(all.Row(u)[e].score, row[static_cast<std::size_t>(e)].score)
+          << "user " << u << " entry " << e;
+      EXPECT_NEAR(all.Row(u)[e].score,
+                  expected[static_cast<std::size_t>(e)].score, 1e-9)
+          << "user " << u << " entry " << e;
+    }
+  }
+
+  const std::vector<Index> mixed = {239, 3, 205, 3, 0, 220};
+  TopKResult got;
+  ASSERT_TRUE(dynamic.TopKForUsers(k, mixed, &got).ok());
+  for (std::size_t r = 0; r < mixed.size(); ++r) {
+    for (Index e = 0; e < k; ++e) {
+      EXPECT_EQ(got.Row(static_cast<Index>(r))[e].item,
+                all.Row(mixed[r])[e].item);
+      EXPECT_EQ(got.Row(static_cast<Index>(r))[e].score,
+                all.Row(mixed[r])[e].score);
+    }
+  }
+}
+
 TEST(DynamicMaximusTest, OutOfRangeUserRejected) {
   const MFModel model = MakeTestModel(20, 20, 4, 7);
   DynamicMaximus dynamic;

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <thread>
 #include <vector>
@@ -649,6 +650,63 @@ TEST(ConcurrentTopKTest, ForcedStrategyFlipsStayExact) {
   flipper.join();
   EXPECT_EQ(result.status_failures.load(), 0);
   EXPECT_EQ(result.score_mismatches.load(), 0);
+}
+
+TEST(ConcurrentTopKTest, MaximusNewUserBatchesMatchSerialBitForBit) {
+  // Two clients at once on a maximus-forced engine over a shared 2-thread
+  // pool.  Each 400-row batch is past TopKForNewUsers' serial-call
+  // threshold (400 rows x 256 items x 12 factors), so both spread their
+  // rows over the same pool; every answer must equal the serial one.
+  const MFModel model = MakeTestModel(300, 700, 12, 83, 0.6, 0.4);
+  ThreadPool pool(2);
+  EngineOptions options = SmallEngineOptions(6);
+  options.solvers = {"bmm", "maximus:block_size=256"};
+  options.shared_pool = &pool;
+  auto engine = MipsEngine::Open(ConstRowBlock(model.users),
+                                 ConstRowBlock(model.items), options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ASSERT_TRUE((*engine)->ForceStrategy("maximus").ok());
+
+  const Index kRows = 400;
+  const Index k = 6;
+  const std::vector<Matrix> queries = {
+      ::mips::testing::RandomMatrix(kRows, 12, 84),
+      ::mips::testing::RandomMatrix(kRows, 12, 85)};
+  std::vector<TopKResult> serial(queries.size());
+  for (std::size_t t = 0; t < queries.size(); ++t) {
+    ASSERT_TRUE((*engine)
+                    ->TopKNewUsers(queries[t].data(), kRows, k, &serial[t])
+                    .ok());
+  }
+
+  ConcurrentHarnessResult result;
+  std::vector<std::thread> clients;
+  for (std::size_t t = 0; t < queries.size(); ++t) {
+    clients.emplace_back([&, t]() {
+      for (int i = 0; i < 4; ++i) {
+        TopKResult got;
+        if (!(*engine)->TopKNewUsers(queries[t].data(), kRows, k, &got).ok()) {
+          result.status_failures.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+        for (Index r = 0; r < kRows; ++r) {
+          for (Index e = 0; e < k; ++e) {
+            const TopKEntry& g = got.Row(r)[e];
+            const TopKEntry& w = serial[t].Row(r)[e];
+            if (g.item != w.item ||
+                std::memcmp(&g.score, &w.score, sizeof(Real)) != 0) {
+              result.score_mismatches.fetch_add(1,
+                                                std::memory_order_relaxed);
+            }
+          }
+        }
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  EXPECT_EQ(result.status_failures.load(), 0);
+  EXPECT_EQ(result.score_mismatches.load(), 0);
+  EXPECT_EQ((*engine)->stats().new_users_served, 10 * kRows);
 }
 
 TEST(EngineTest, ThreadedEngineStaysExact) {

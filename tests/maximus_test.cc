@@ -1,11 +1,14 @@
 // Tests for MAXIMUS: the Koenigstein bound as a property test, index
 // construction invariants, exactness against brute force across a
 // parameter sweep (clusters, blocking, K, clustering flavor), the item
-// blocking lesion, dynamic users, and threading.
+// blocking lesion, new users (one at a time and in batches), and
+// threading.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <tuple>
 
 #include "common/thread_pool.h"
@@ -55,7 +58,7 @@ TEST(CBoundTest, MonotoneInTheta) {
 // what makes the dynamic-user walk exact: a user outside the cluster cone
 // by delta can inflate every bound by at most max_norm * delta, so adding
 // that slack to the sorted list keeps termination conservative
-// (MaximusSolver::QueryDynamicUser).
+// (MaximusSolver::TopKForNewUsers).
 TEST(CBoundTest, LipschitzInTheta) {
   Rng rng(4);
   for (int trial = 0; trial < 5000; ++trial) {
@@ -304,6 +307,193 @@ TEST(MaximusTest, DynamicUserQueryIsExact) {
           << "user " << u << " entry " << e;
     }
   }
+}
+
+// Brute-force top-k of each row of `queries` against every item: the
+// TopKHeap reference order (score descending, then item id ascending).
+TopKResult BruteForceTopK(const Matrix& queries, const Matrix& items,
+                          Index k) {
+  TopKResult out(queries.rows(), k);
+  for (Index r = 0; r < queries.rows(); ++r) {
+    TopKHeap heap(k);
+    for (Index i = 0; i < items.rows(); ++i) {
+      heap.Push(i, Dot(queries.Row(r), items.Row(i), items.cols()));
+    }
+    heap.ExtractDescending(out.Row(r));
+  }
+  return out;
+}
+
+// Ids exact, scores within `tol` (sentinel -inf tails equal).
+void ExpectIdsExactScoresNear(const TopKResult& got, const TopKResult& want,
+                              Real tol, const std::string& label) {
+  ASSERT_EQ(got.num_queries(), want.num_queries()) << label;
+  ASSERT_EQ(got.k(), want.k()) << label;
+  for (Index r = 0; r < got.num_queries(); ++r) {
+    for (Index e = 0; e < got.k(); ++e) {
+      const TopKEntry& g = got.Row(r)[e];
+      const TopKEntry& w = want.Row(r)[e];
+      EXPECT_EQ(g.item, w.item) << label << " row " << r << " entry " << e;
+      if (std::isinf(w.score)) {
+        EXPECT_EQ(g.score, w.score) << label << " row " << r;
+      } else {
+        EXPECT_NEAR(g.score, w.score, tol)
+            << label << " row " << r << " entry " << e;
+      }
+    }
+  }
+}
+
+void ExpectSameBits(const TopKEntry* got, const TopKEntry* want, Index k,
+                    const std::string& label) {
+  for (Index e = 0; e < k; ++e) {
+    EXPECT_EQ(got[e].item, want[e].item) << label << " entry " << e;
+    EXPECT_EQ(std::memcmp(&got[e].score, &want[e].score, sizeof(Real)), 0)
+        << label << " entry " << e << ": " << got[e].score << " vs "
+        << want[e].score;
+  }
+}
+
+// A model whose item set holds exact duplicates of a boosted item (so the
+// top of many rows is a tie the id order must break), and a batch of new
+// users mixing in-distribution rows, negated members (far outside every
+// theta_b cone, so their slack is large) and one zero vector.
+struct NewUserFixture {
+  MFModel model;
+  Matrix queries;
+};
+
+NewUserFixture MakeNewUserFixture(Index num_items = 240) {
+  NewUserFixture fx{MakeTestModel(160, num_items, 12, 71, 0.6, 0.4), {}};
+  const Index f = fx.model.num_factors();
+  for (Index c = 0; c < f; ++c) fx.model.items(3, c) *= 4;
+  for (const Index dup : {Index{11}, Index{150}}) {
+    std::memcpy(fx.model.items.Row(dup), fx.model.items.Row(3),
+                static_cast<std::size_t>(f) * sizeof(Real));
+  }
+  const MFModel extra = MakeTestModel(30, num_items, f, 72, 0.6, 0.4);
+  fx.queries.Resize(41, f);
+  for (Index r = 0; r < 30; ++r) {
+    std::memcpy(fx.queries.Row(r), extra.users.Row(r),
+                static_cast<std::size_t>(f) * sizeof(Real));
+  }
+  for (Index r = 30; r < 40; ++r) {
+    for (Index c = 0; c < f; ++c) {
+      fx.queries(r, c) = -fx.model.users(r * 3, c);
+    }
+  }
+  // Row 40 stays the zero vector.
+  return fx;
+}
+
+TEST(MaximusTest, NewUserBatchMatchesBruteForceAndSingleRows) {
+  const NewUserFixture fx = MakeNewUserFixture();
+  const Index n = fx.model.num_items();
+  for (const Index block_size : {Index{-1}, Index{16}, Index{0}}) {
+    MaximusOptions options;
+    options.block_size = block_size;
+    MaximusSolver maximus(options);
+    ASSERT_TRUE(maximus.Prepare(ConstRowBlock(fx.model.users),
+                                ConstRowBlock(fx.model.items)).ok());
+    for (const Index k : {Index{1}, Index{3}, Index{7}, n + 3}) {
+      const std::string label = "block_size=" + std::to_string(block_size) +
+                                " k=" + std::to_string(k);
+      TopKResult batch;
+      ASSERT_TRUE(maximus.TopKForNewUsers(fx.queries.data(),
+                                          fx.queries.rows(), k, &batch)
+                      .ok());
+      ExpectIdsExactScoresNear(batch,
+                               BruteForceTopK(fx.queries, fx.model.items, k),
+                               1e-9, label);
+      std::vector<TopKEntry> alone(static_cast<std::size_t>(k));
+      for (Index r = 0; r < fx.queries.rows(); ++r) {
+        ASSERT_TRUE(
+            maximus.QueryDynamicUser(fx.queries.Row(r), k, alone.data())
+                .ok());
+        ExpectSameBits(batch.Row(r), alone.data(), k,
+                       label + " row " + std::to_string(r));
+      }
+    }
+  }
+}
+
+TEST(MaximusTest, NewUserZeroVectorReturnsLowestIds) {
+  const NewUserFixture fx = MakeNewUserFixture();
+  MaximusSolver maximus;
+  ASSERT_TRUE(maximus.Prepare(ConstRowBlock(fx.model.users),
+                              ConstRowBlock(fx.model.items)).ok());
+  TopKResult out;
+  ASSERT_TRUE(
+      maximus.TopKForNewUsers(fx.queries.Row(40), 1, 4, &out).ok());
+  for (Index e = 0; e < 4; ++e) {
+    EXPECT_EQ(out.Row(0)[e].item, e);
+    EXPECT_EQ(out.Row(0)[e].score, 0.0);
+  }
+  // Every item scores 0, so the walk cannot stop early.
+  EXPECT_EQ(maximus.mean_items_visited(),
+            static_cast<double>(fx.model.num_items()));
+}
+
+TEST(MaximusTest, NewUserBatchPooledMatchesSerialBitForBit) {
+  // 400 rows x a 256-item first segment x 12 factors is past the
+  // serial-call threshold, so the pooled solver splits the rows.
+  const NewUserFixture fx = MakeNewUserFixture(/*num_items=*/700);
+  const Matrix queries = ::mips::testing::RandomMatrix(400, 12, 73);
+  MaximusOptions options;
+  options.block_size = 256;
+  MaximusSolver serial(options);
+  MaximusSolver pooled(options);
+  ThreadPool pool(4);
+  pooled.set_thread_pool(&pool);
+  ASSERT_TRUE(serial.Prepare(ConstRowBlock(fx.model.users),
+                             ConstRowBlock(fx.model.items)).ok());
+  ASSERT_TRUE(pooled.Prepare(ConstRowBlock(fx.model.users),
+                             ConstRowBlock(fx.model.items)).ok());
+  TopKResult a;
+  TopKResult b;
+  ASSERT_TRUE(serial.TopKForNewUsers(queries.data(), 400, 9, &a).ok());
+  ASSERT_TRUE(pooled.TopKForNewUsers(queries.data(), 400, 9, &b).ok());
+  for (Index r = 0; r < 400; ++r) {
+    ExpectSameBits(b.Row(r), a.Row(r), 9, "row " + std::to_string(r));
+  }
+  ExpectIdsExactScoresNear(a, BruteForceTopK(queries, fx.model.items, 9),
+                           1e-9, "pooled");
+}
+
+TEST(MaximusTest, NewUserWalkPrunesInsideTheCone) {
+  // The tight, skewed model of VisitStatisticsBounded, queried with the
+  // prepared users' own vectors as new users: they sit inside (or at the
+  // edge of) their cones, so the walk must stop well before the end (the
+  // members' bound in VisitStatisticsBounded).
+  const MFModel model =
+      MakeTestModel(200, 500, 10, /*seed=*/37, /*norm_sigma=*/0.9,
+                    /*dispersion=*/0.2);
+  MaximusSolver maximus;
+  ASSERT_TRUE(maximus.Prepare(ConstRowBlock(model.users),
+                              ConstRowBlock(model.items)).ok());
+  TopKResult out;
+  ASSERT_TRUE(maximus.TopKForNewUsers(model.users.data(), 200, 1, &out).ok());
+  EXPECT_GE(maximus.mean_items_visited(), 1.0);
+  EXPECT_LT(maximus.mean_items_visited(), 250.0);
+  TopKResult members;
+  ASSERT_TRUE(maximus.TopKAll(1, &members).ok());
+  ExpectSameTopKScores(out, members, 1e-9);
+}
+
+TEST(MaximusTest, NewUserBatchRejectsBadArguments) {
+  const MFModel model = MakeTestModel(40, 30, 6, 79);
+  MaximusSolver maximus;
+  TopKResult out;
+  EXPECT_EQ(maximus.TopKForNewUsers(model.users.data(), 1, 3, &out).code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(maximus.Prepare(ConstRowBlock(model.users),
+                              ConstRowBlock(model.items)).ok());
+  EXPECT_EQ(maximus.TopKForNewUsers(model.users.data(), 1, 0, &out).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(maximus.TopKForNewUsers(nullptr, 2, 3, &out).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(maximus.TopKForNewUsers(model.users.data(), 0, 3, &out).ok());
+  EXPECT_EQ(out.num_queries(), 0);
 }
 
 TEST(MaximusTest, AssignNewUserMatchesNearestCentroid) {
